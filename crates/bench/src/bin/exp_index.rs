@@ -1,18 +1,15 @@
-//! Regenerates the index-backend comparison (flat vs IVF, f32 vs SQ8 rows)
-//! and emits the machine-readable `BENCH_index.json`.
+//! Regenerates the index-backend comparison table (flat vs IVF, f32 vs SQ8
+//! rows).
 //!
 //! ```text
-//! exp_index [--sizes 1000,10000,100000] [--json BENCH_index.json]
+//! exp_index [--sizes 1000,10000,100000]
 //! ```
 //!
 //! CI runs the 1k tier as a smoke test (`--sizes 1000`); the default tiers
 //! reproduce the full 1k/10k/100k comparison.
 
-use std::path::PathBuf;
-
 fn main() {
     let mut sizes: Vec<usize> = vec![1_000, 10_000, 100_000];
-    let mut json: Option<PathBuf> = Some(PathBuf::from("BENCH_index.json"));
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -27,20 +24,14 @@ fn main() {
                     .collect();
                 assert!(!sizes.is_empty(), "--sizes must name at least one tier");
             }
-            "--json" => {
-                i += 1;
-                let path = args.get(i).expect("--json needs a path");
-                json = Some(PathBuf::from(path));
-            }
-            "--no-json" => json = None,
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: exp_index [--sizes 1000,10000,100000] [--json PATH | --no-json]");
+                eprintln!("usage: exp_index [--sizes 1000,10000,100000]");
                 std::process::exit(2);
             }
         }
         i += 1;
     }
 
-    mc_bench::run_index_backends_with(&sizes, json.as_deref());
+    mc_bench::run_index_backends_with(&sizes);
 }

@@ -87,7 +87,7 @@ pub fn run_table1_and_fig7_9(corpus: &ExperimentCorpus) {
     // then served from the entry inserted moments earlier but still counts as
     // a false hit against the populate-time ground truth. This artefact
     // depresses the measured standalone precision of *every* configuration
-    // equally and is documented in EXPERIMENTS.md.
+    // equally.
     let mut gpt = gptcache_deployment();
     let gpt_standalone = run_standalone(&mut gpt, &workload.populate, &probes);
     let mut mean_mpnet = meancache_deployment(&mpnet);
@@ -602,49 +602,21 @@ pub fn run_fig15() {
     );
 }
 
-/// One backend × size measurement of the index experiment (a row of
-/// `BENCH_index.json`).
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct IndexBenchRow {
-    /// Backend label (`flat`, `flat-sq8`, `ivf`, `ivf-sq8`).
-    pub backend: String,
-    /// Row codec (`f32` or `sq8`).
-    pub quantization: String,
-    /// Number of indexed embeddings.
-    pub entries: usize,
-    /// Embedding dimensionality of this tier.
-    pub dims: usize,
+/// One backend's measurement within a tier of the index experiment.
+struct IndexBenchRow {
     /// Median per-lookup latency in microseconds. Each probe's latency is
     /// the **minimum over 3 timed repetitions** (the noise-robust estimate
-    /// of its deterministic scan cost — the CI regression gate needs
-    /// run-to-run stability), so percentiles here spread over *probes*, not
-    /// over scheduler noise.
-    pub p50_us: f64,
+    /// of its deterministic scan cost), so percentiles here spread over
+    /// *probes*, not over scheduler noise.
+    p50_us: f64,
     /// 99th-percentile of the same per-probe minimum-of-3 latencies: the
     /// worst probe's cost, **not** a tail-latency measure (preemption and
-    /// contention are deliberately excluded; `BENCH_concurrent.json`
-    /// measures live tails).
-    pub p99_us: f64,
+    /// contention are deliberately excluded).
+    p99_us: f64,
     /// recall@5 against the exact f32 flat scan's top-5.
-    pub recall_at_5: f64,
+    recall_at_5: f64,
     /// True `storage_bytes()` of the built index.
-    pub storage_bytes: usize,
-}
-
-/// The machine-readable output of [`run_index_backends`], persisted as
-/// `BENCH_index.json` so CI can track the perf trajectory.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
-pub struct IndexBenchReport {
-    /// Every backend × size × dims measurement.
-    pub rows: Vec<IndexBenchRow>,
-    /// Entry count of the largest tier measured.
-    pub largest_entries: usize,
-    /// f32-flat p50 ÷ SQ8-flat p50 at the largest tier's native (768-d)
-    /// pair: > 1 means the quantised scan is faster.
-    pub sq8_flat_speedup: f64,
-    /// SQ8-flat `storage_bytes()` ÷ f32-flat `storage_bytes()` at the same
-    /// pair: ~0.26 expected at 768 dims.
-    pub sq8_bytes_ratio: f64,
+    storage_bytes: usize,
 }
 
 /// Per-probe search latencies in microseconds, sorted ascending. One warm
@@ -652,8 +624,6 @@ pub struct IndexBenchReport {
 /// [`LATENCY_REPS`] times and its **minimum** kept: the scan is
 /// deterministic work, so the minimum is the noise-robust estimate of its
 /// cost — scheduler preemption and frequency wobble only ever add time.
-/// Small-tier p50s feed the CI regression gate, which needs run-to-run
-/// stability well inside its 25% tolerance.
 fn probe_latencies_us(index: &dyn mc_store::VectorIndex, queries: &[Vec<f32>]) -> Vec<f64> {
     const TOP_K: usize = 5;
     const LATENCY_REPS: usize = 3;
@@ -673,7 +643,7 @@ fn probe_latencies_us(index: &dyn mc_store::VectorIndex, queries: &[Vec<f32>]) -
 }
 
 /// The `p`-th percentile (0..=1) of an ascending-sorted latency series.
-pub(crate) fn percentile(sorted_us: &[f64], p: f64) -> f64 {
+fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     if sorted_us.is_empty() {
         return 0.0;
     }
@@ -681,18 +651,17 @@ pub(crate) fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[pos.min(sorted_us.len() - 1)]
 }
 
-/// Measures one tier (every backend × codec combination at `dims`) and
-/// appends its rows to `rows`. The **first** backend must be the exact f32
-/// flat scan: its hit lists double as the recall@5 ground truth for the
-/// rest, so no separate truth index is built. Returns the
-/// `(flat, flat-sq8)` rows' indices.
+/// Measures one tier (every backend × codec combination at `dims`), adds a
+/// table row per backend and returns the measurements in `backends` order.
+/// The **first** backend must be the exact f32 flat scan: its hit lists
+/// double as the recall@5 ground truth for the rest, so no separate truth
+/// index is built.
 fn measure_tier(
-    rows: &mut Vec<IndexBenchRow>,
     entries: usize,
     dims: usize,
     backends: &[(&str, mc_store::IndexKind)],
     table: &mut Table,
-) -> (usize, usize) {
+) -> Vec<IndexBenchRow> {
     use mc_store::VectorIndex;
 
     const TOP_K: usize = 5;
@@ -719,7 +688,7 @@ fn measure_tier(
 
     // Filled by the first (exact f32 flat) backend's own searches.
     let mut truth: Vec<Vec<u64>> = Vec::new();
-    let mut flat_pair = (0usize, 0usize);
+    let mut rows = Vec::with_capacity(backends.len());
     for (label, kind) in backends {
         let mut index = kind.build(dims).expect("valid index config");
         for (id, v) in cloud.vectors.iter().enumerate() {
@@ -748,10 +717,6 @@ fn measure_tier(
             recall_hits += truth_ids.iter().filter(|t| approx.contains(t)).count();
         }
         let row = IndexBenchRow {
-            backend: label.to_string(),
-            quantization: kind.quantization().name().to_string(),
-            entries,
-            dims,
             p50_us: percentile(&latencies, 0.50),
             p99_us: percentile(&latencies, 0.99),
             recall_at_5: recall_hits as f64 / recall_total.max(1) as f64,
@@ -759,45 +724,36 @@ fn measure_tier(
         };
         table.add_row(&[
             format!("{entries}x{dims}d"),
-            row.backend.clone(),
+            label.to_string(),
             format!("{:.1}us", row.p50_us),
             format!("{:.1}us", row.p99_us),
             fmt_pct(row.recall_at_5),
             fmt_kb(row.storage_bytes),
         ]);
-        match *label {
-            "flat" => flat_pair.0 = rows.len(),
-            "flat-sq8" => flat_pair.1 = rows.len(),
-            _ => {}
-        }
         rows.push(row);
     }
-    flat_pair
+    rows
 }
 
 /// Index-backend comparison (beyond the paper): flat vs IVF, f32 rows vs
 /// SQ8-quantised rows, at growing cache sizes — per-lookup latency p50/p99,
 /// recall@5 against the exact f32 flat ground truth, and true
 /// `storage_bytes()`. This is the experiment behind the "index backends"
-/// section of the README; [`run_index_backends_with`] also emits the
-/// machine-readable `BENCH_index.json` CI tracks.
+/// section of the README.
 pub fn run_index_backends() {
-    run_index_backends_with(
-        &[1_000, 10_000, 100_000],
-        Some(std::path::Path::new("BENCH_index.json")),
-    );
+    run_index_backends_with(&[1_000, 10_000, 100_000]);
 }
 
-/// [`run_index_backends`] with explicit size tiers and an optional JSON
-/// output path (the CI smoke test runs the 1k tier only).
+/// [`run_index_backends`] with explicit size tiers (the CI smoke test runs
+/// the 1k tier only).
 ///
 /// Every tier measures all four backend × codec combinations at the paper's
 /// 64-d PCA-compressed embedding size; the largest tier additionally runs
 /// the flat pair at the native SBERT 768 dimensions — the regime the paper's
 /// storage argument is about, where the SQ8 scan's 4× byte reduction is
-/// plainly memory-bandwidth-bound. The headline `sq8_flat_speedup` /
-/// `sq8_bytes_ratio` come from that 768-d pair.
-pub fn run_index_backends_with(sizes: &[usize], json_path: Option<&std::path::Path>) {
+/// plainly memory-bandwidth-bound. The closing speed-up / bytes-ratio line
+/// comes from that 768-d pair.
+pub fn run_index_backends_with(sizes: &[usize]) {
     use mc_store::IndexKind;
 
     const DIMS: usize = 64; // PCA-compressed embedding size from the paper
@@ -808,10 +764,6 @@ pub fn run_index_backends_with(sizes: &[usize], json_path: Option<&std::path::Pa
         ("flat-sq8", IndexKind::flat_sq8()),
         ("ivf", IndexKind::ivf()),
         ("ivf-sq8", IndexKind::ivf_sq8()),
-    ];
-    let flat_backends: Vec<(&str, IndexKind)> = vec![
-        ("flat", IndexKind::flat()),
-        ("flat-sq8", IndexKind::flat_sq8()),
     ];
 
     let mut table = Table::new(
@@ -825,25 +777,17 @@ pub fn run_index_backends_with(sizes: &[usize], json_path: Option<&std::path::Pa
             "storage",
         ],
     );
-    let mut rows: Vec<IndexBenchRow> = Vec::new();
-    let largest = sizes.iter().copied().max().unwrap_or(0);
-    let mut native_pair = (0usize, 0usize);
+    let largest = sizes.iter().copied().max().expect("at least one size tier");
+    let mut native_pair = Vec::new();
     for &entries in sizes {
-        measure_tier(&mut rows, entries, DIMS, &all_backends, &mut table);
+        measure_tier(entries, DIMS, &all_backends, &mut table);
         if entries == largest {
             // Native-dims tier: flat pair only (IVF k-means at 100k x 768 is
             // training cost, not scan insight).
-            native_pair = measure_tier(&mut rows, entries, NATIVE_DIMS, &flat_backends, &mut table);
+            native_pair = measure_tier(entries, NATIVE_DIMS, &all_backends[..2], &mut table);
         }
     }
-
-    let (f32_row, sq8_row) = (&rows[native_pair.0], &rows[native_pair.1]);
-    let report = IndexBenchReport {
-        largest_entries: largest,
-        sq8_flat_speedup: f32_row.p50_us / sq8_row.p50_us.max(f64::EPSILON),
-        sq8_bytes_ratio: sq8_row.storage_bytes as f64 / (f32_row.storage_bytes as f64).max(1.0),
-        rows,
-    };
+    let (f32_row, sq8_row) = (&native_pair[0], &native_pair[1]);
 
     println!("{table}");
     println!(
@@ -851,14 +795,9 @@ pub fn run_index_backends_with(sizes: &[usize], json_path: Option<&std::path::Pa
          f32 x u8 kernel; queries stay full-precision. At {largest} x {NATIVE_DIMS}d the \
          quantised flat scan is {:.2}x the speed of f32 at {:.2}x the bytes. Select per \
          deployment via MeanCacheConfig::index.)\n",
-        report.sq8_flat_speedup, report.sq8_bytes_ratio
+        f32_row.p50_us / sq8_row.p50_us.max(f64::EPSILON),
+        sq8_row.storage_bytes as f64 / (f32_row.storage_bytes as f64).max(1.0)
     );
-
-    if let Some(path) = json_path {
-        let json = serde_json::to_string(&report).expect("report serialises");
-        std::fs::write(path, json).expect("BENCH_index.json is writable");
-        println!("wrote {}", path.display());
-    }
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! # mc-bench
 //!
-//! Benchmark harness reproducing every table and figure of the MeanCache
-//! paper's evaluation (Section IV). Each experiment is a function in
+//! Experiments reproducing every table and figure of the MeanCache paper's
+//! evaluation (Section IV). Each experiment is a function in
 //! [`experiments`]; the `exp_*` binaries in `src/bin/` are thin wrappers so
 //! individual artefacts can be regenerated with e.g.
 //!
@@ -10,30 +10,19 @@
 //! cargo run --release -p mc-bench --bin exp_all
 //! ```
 //!
-//! Criterion micro-benchmarks (`benches/`) cover the kernels whose *speed*
-//! the paper reports: embedding computation time (Figure 15), semantic
-//! search time with and without compression (Figure 10b), and the underlying
-//! tensor kernels.
-//!
 //! Absolute numbers will differ from the paper (the substrate is a synthetic
 //! workload and a from-scratch encoder, not the authors' GPU testbed); the
 //! *shape* of each result — who wins, roughly by how much, where the
-//! crossovers are — is what these experiments reproduce. `EXPERIMENTS.md` at
-//! the workspace root records a paper-vs-measured comparison for every
-//! experiment.
+//! crossovers are — is what these experiments reproduce.
+//!
+//! [`setup`] builds the shared corpus and trains the encoder; the
+//! repository's benchmark (`benchmark/`, see `BENCHMARK.json`) trains its
+//! model through it too. Latency, throughput and serving measurements live
+//! in that benchmark, not here; the one timing table kept is `exp_index`,
+//! the only comparison of the flat and IVF index backends.
 
-pub mod concurrent;
 pub mod experiments;
-pub mod restart_bench;
-pub mod routing_bench;
-pub mod serve_bench;
 pub mod setup;
-pub mod tenancy_bench;
 
-pub use concurrent::*;
 pub use experiments::*;
-pub use restart_bench::*;
-pub use routing_bench::*;
-pub use serve_bench::*;
 pub use setup::*;
-pub use tenancy_bench::*;

@@ -1,6 +1,6 @@
 //! Deployment configuration of the local semantic cache.
 
-use mc_store::{EvictionPolicy, FsyncPolicy, IndexKind};
+use mc_store::{EvictionPolicy, IndexKind};
 use serde::{Deserialize, Serialize};
 
 use crate::shard::RoutingMode;
@@ -60,15 +60,6 @@ pub struct MeanCacheConfig {
     /// above.
     #[serde(default)]
     pub routing: RoutingMode,
-    /// When entry-log appends are forced to stable storage
-    /// ([`FsyncPolicy`]): `Always` (fdatasync per record — survives power
-    /// loss), `EveryN(n)` (bounded loss), or `Never` (the default — page
-    /// cache only, matching the historical behaviour and costing nothing
-    /// on the hot path). Serde-defaulted so sidecars written before this
-    /// field existed still load. Consumed by the persistence layer and the
-    /// serve-side operation WAL.
-    #[serde(default)]
-    pub fsync: FsyncPolicy,
     /// Whether the persistence layer writes an `MCSNAP01` snapshot sidecar
     /// (`<path>.snap`) next to the entry log on every save
     /// ([`SnapshotPolicy::Enabled`], the default). Loading prefers the
@@ -105,7 +96,6 @@ impl Default for MeanCacheConfig {
             index: IndexKind::default(),
             shards: 1,
             routing: RoutingMode::Hash,
-            fsync: FsyncPolicy::Never,
             snapshot: SnapshotPolicy::Enabled,
         }
     }
@@ -152,7 +142,6 @@ impl MeanCacheConfig {
             )));
         }
         self.index.validate()?;
-        self.fsync.validate().map_err(CacheError::InvalidConfig)?;
         Ok(())
     }
 
@@ -193,12 +182,6 @@ impl MeanCacheConfig {
     /// Returns a copy with the serving-layer routing mode replaced.
     pub fn with_routing(mut self, routing: RoutingMode) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Returns a copy with the entry-log fsync policy replaced.
-    pub fn with_fsync(mut self, fsync: FsyncPolicy) -> Self {
-        self.fsync = fsync;
         self
     }
 
@@ -341,27 +324,16 @@ mod tests {
     }
 
     #[test]
-    fn fsync_policy_round_trips_and_validates() {
-        let cfg = MeanCacheConfig::default();
-        assert_eq!(cfg.fsync, FsyncPolicy::Never);
-        let cfg = cfg.with_fsync(FsyncPolicy::EveryN(16));
-        assert!(cfg.validate().is_ok());
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: MeanCacheConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.fsync, FsyncPolicy::EveryN(16));
-        assert!(MeanCacheConfig::default()
-            .with_fsync(FsyncPolicy::EveryN(0))
-            .validate()
-            .is_err());
-        // A sidecar written before the `fsync` field existed must load with
-        // the historical flush-only behaviour.
-        let json = serde_json::to_string(&MeanCacheConfig::default()).unwrap();
-        let old = json
-            .replace(",\"fsync\":\"Never\"", "")
-            .replace("\"fsync\":\"Never\",", "");
-        assert!(!old.contains("fsync"), "field must be stripped: {old}");
-        let cfg: MeanCacheConfig = serde_json::from_str(&old).unwrap();
-        assert_eq!(cfg.fsync, FsyncPolicy::Never);
+    fn sidecar_with_the_retired_fsync_key_still_loads() {
+        // Saves are written once and atomically, so the entry-log `fsync`
+        // knob is gone; sidecars written while it existed carry the key.
+        let json = serde_json::to_string(&MeanCacheConfig::default().with_shards(3)).unwrap();
+        assert!(!json.contains("fsync"), "the field must be gone: {json}");
+        for value in ["\"Never\"", "\"Always\"", "{\"EveryN\":16}"] {
+            let old = json.replacen('{', &format!("{{\"fsync\":{value},"), 1);
+            let cfg: MeanCacheConfig = serde_json::from_str(&old).unwrap();
+            assert_eq!(cfg, MeanCacheConfig::default().with_shards(3));
+        }
     }
 
     #[test]

@@ -107,10 +107,10 @@ pub fn snapshot_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Writes every cached entry to the disk store at `path` (replacing existing
-/// contents), compacts the log, and — unless the cache's
-/// [`SnapshotPolicy`] disables it — writes the `<path>.snap` zero-copy
-/// snapshot the loaders prefer over log replay.
+/// Atomically replaces the entry log at `path` with one compacted log of
+/// every cached entry (a failed save leaves the previous one loadable) and —
+/// unless the cache's [`SnapshotPolicy`] disables it — writes the
+/// `<path>.snap` zero-copy snapshot the loaders prefer over log replay.
 ///
 /// # Errors
 /// Propagates storage/IO failures.
@@ -128,21 +128,9 @@ fn save_cache_with_pins(
     pins: &[(u64, u64)],
     tenant: Option<&str>,
 ) -> Result<()> {
-    // Start from a clean log so the file reflects exactly the current cache.
-    if path.exists() {
-        std::fs::remove_file(path).map_err(mc_store::StoreError::from)?;
-    }
-    let mut disk = DiskStore::open_with_policy(path, cache.config().fsync)?;
-    // Insert parents before children so a partially-written log never holds a
-    // dangling parent reference.
-    let mut entries: Vec<_> = cache.entries().cloned().collect();
-    entries.sort_by_key(|e| (e.parent.is_some(), e.id));
-    for entry in entries {
-        disk.insert(entry)?;
-    }
-    disk.compact()?;
-    let wal_len = disk.log_bytes()?;
-    drop(disk);
+    let mut entries: Vec<&CacheEntry> = cache.entries().collect();
+    entries.sort_by_key(|e| e.id);
+    let wal_len = mc_store::write_compacted_log(path, entries.into_iter())?;
     match cache.config().snapshot {
         SnapshotPolicy::Enabled => write_snapshot_for(cache, path, wal_len, pins, tenant),
         SnapshotPolicy::Disabled => {
@@ -703,6 +691,62 @@ mod tests {
         assert!(restored.entries().any(|e| e.query == "new query"));
         assert!(!restored.entries().any(|e| e.query == "old query"));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_save_leaves_the_previous_save_loadable() {
+        use crate::{SemanticCache, ShardedCache};
+        let path = temp_path("atomic_save");
+        let encoder = QueryEncoder::new(ModelProfile::tiny(), 11).unwrap();
+        let config = MeanCacheConfig::default()
+            .with_threshold(0.6)
+            .with_shards(2);
+        let filled = |tag: &str| {
+            let mut cache = ShardedCache::new(encoder.clone(), config.clone()).unwrap();
+            for i in 0..8 {
+                cache
+                    .insert(&format!("{tag} save subject {i}"), tag, &[])
+                    .unwrap();
+            }
+            cache
+        };
+        let entry_set = |cache: &ShardedCache| {
+            let mut all = Vec::new();
+            for shard in 0..cache.shard_count() {
+                cache.with_shard(shard, |inner| {
+                    all.extend(
+                        inner
+                            .entries()
+                            .map(|e| (e.query.clone(), e.response.clone())),
+                    );
+                });
+            }
+            all.sort();
+            all
+        };
+        let first = filled("first");
+        save_sharded_cache_with_config(&first, &path).unwrap();
+
+        // A directory squatting on the first shard's temp path fails the
+        // second save before it has replaced anything.
+        let squatter = PathBuf::from(format!("{}.compact", shard_log_path(&path, 0).display()));
+        std::fs::create_dir(&squatter).unwrap();
+        assert!(save_sharded_cache_with_config(&filled("second"), &path).is_err());
+
+        let (restored, report) = load_sharded_cache_with_report(encoder.clone(), &path).unwrap();
+        assert_eq!(entry_set(&restored), entry_set(&first));
+        assert_eq!(
+            report.snapshot_loaded, 2,
+            "the first save's snapshots still match"
+        );
+
+        std::fs::remove_dir(&squatter).unwrap();
+        for shard in 0..2 {
+            let log = shard_log_path(&path, shard);
+            std::fs::remove_file(snapshot_path(&log)).ok();
+            std::fs::remove_file(&log).ok();
+        }
+        std::fs::remove_file(config_sidecar(&path)).ok();
     }
 
     #[test]

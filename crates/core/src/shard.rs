@@ -76,9 +76,10 @@
 //! assert_eq!(cache.routing(), RoutingMode::ScatterGather);
 //! ```
 //!
-//! The measured trade-off between the three (hit rate vs latency vs
-//! throughput on a paraphrase-heavy clustered workload) is the `exp_routing`
-//! benchmark's job; `BENCH_routing.json` records it.
+//! The hit-rate ordering between the three on a paraphrase-heavy clustered
+//! workload (scatter-gather = unsharded ceiling ≥ centroid ≥ hash) is pinned
+//! by `tests/resharding.rs`; what each costs in latency and throughput is
+//! the repository benchmark's job (`BENCHMARK.json`).
 //!
 //! ## Capacity
 //!
@@ -806,9 +807,9 @@ impl ShardedCache {
     /// Inserts through a **shared** reference: takes only the target shard's
     /// write lock, so concurrent inserts to different shards proceed in
     /// parallel and probes of other shards are never blocked. This is the
-    /// write path concurrent serving measures (`exp_concurrent
-    /// --write-pct`); the `&mut` [`SemanticCache::insert`] remains the
-    /// single-owner equivalent (identical ids and routing).
+    /// write path concurrent serving uses; the `&mut`
+    /// [`SemanticCache::insert`] remains the single-owner equivalent
+    /// (identical ids and routing).
     ///
     /// # Errors
     /// Returns [`crate::CacheError`] on storage failures.

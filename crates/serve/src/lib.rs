@@ -93,8 +93,8 @@
 //! the bill — the index scan itself is microseconds at serving shard sizes.
 //! Batching amortises all of them: one wakeup, one partition pass, one lock
 //! per touched shard, one `search_batch` per shard, and coalesced response
-//! writes per connection. The `exp_serve` benchmark in `mc-bench` measures
-//! the effect end to end over localhost TCP.
+//! writes per connection. The repository benchmark's `serve_hot` workload
+//! (`BENCHMARK.json`) measures the effect end to end over localhost TCP.
 
 pub mod client;
 pub mod pipeline;

@@ -61,8 +61,7 @@ pub struct ServeTenant {
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Maximum requests the micro-batcher groups into one pass. `1`
-    /// disables batching (every request is its own batch) — the reference
-    /// configuration `exp_serve` compares against.
+    /// disables batching (every request is its own batch).
     pub max_batch: usize,
     /// How long an open batch lingers for stragglers after its first
     /// request arrives. Bounded added latency: a lone request is delayed by
@@ -587,19 +586,29 @@ impl ServePipeline {
         })
     }
 
-    /// Submits a request under the default tenant; the returned ticket
-    /// resolves once the batcher has executed it. Never blocks.
+    /// Submits a request under the default tenant, tracing it from here
+    /// when the sampler picks it; the returned ticket resolves once the
+    /// batcher has executed it. Never blocks.
     ///
     /// # Errors
     /// [`SubmitError::Overloaded`] when the admission queue is full (the
     /// request is shed), [`SubmitError::ShutDown`] after
     /// [`ServePipeline::shutdown`].
     pub fn submit(&self, request: ServeRequest) -> Result<Ticket, SubmitError> {
+        let trace = self.metrics.tracer().begin(request_kind(&request));
+        if let Some(t) = &trace {
+            // Direct pipeline callers skip the wire: accepted = decoded.
+            t.mark(Stage::Accepted);
+            t.mark(Stage::Decoded);
+        }
         let tenant = self.default_tenant.clone();
-        self.submit_for(&tenant, request)
+        self.submit_for(&tenant, request, trace)
     }
 
-    /// Submits a request under an explicit tenant.
+    /// Submits a request under an explicit tenant, with the trace its
+    /// caller began (the server starts it at frame-accept time, so the
+    /// trace covers decode and queueing, not just execution) or `None` to
+    /// leave it untraced.
     ///
     /// With singleflight enabled, a lookup identical to one already in
     /// flight *for the same tenant* attaches to the pending ticket instead
@@ -613,31 +622,7 @@ impl ServePipeline {
     /// # Errors
     /// [`SubmitError::Overloaded`] when the admission queue is full,
     /// [`SubmitError::ShutDown`] after [`ServePipeline::shutdown`].
-    pub fn submit_for(&self, tenant: &str, request: ServeRequest) -> Result<Ticket, SubmitError> {
-        let trace = self.metrics.tracer().begin(request_kind(&request));
-        if let Some(t) = &trace {
-            // Direct pipeline callers skip the wire: accepted = decoded.
-            t.mark(Stage::Accepted);
-            t.mark(Stage::Decoded);
-        }
-        self.submit_traced_for(tenant, request, trace)
-    }
-
-    /// [`ServePipeline::submit`] for callers that began the trace
-    /// themselves (the server starts it at frame-accept time, so the trace
-    /// covers decode and queueing, not just execution).
-    pub fn submit_traced(
-        &self,
-        request: ServeRequest,
-        trace: Option<Arc<Trace>>,
-    ) -> Result<Ticket, SubmitError> {
-        let tenant = self.default_tenant.clone();
-        self.submit_traced_for(&tenant, request, trace)
-    }
-
-    /// [`ServePipeline::submit_for`] for callers that began the trace
-    /// themselves.
-    pub fn submit_traced_for(
+    pub fn submit_for(
         &self,
         tenant: &str,
         request: ServeRequest,
@@ -1737,17 +1722,17 @@ mod tests {
         };
         let pipeline = ServePipeline::start(cache(2), &config).unwrap();
         pipeline
-            .submit_for("acme", insert("what is rust", "acme answer"))
+            .submit_for("acme", insert("what is rust", "acme answer"), None)
             .unwrap()
             .wait();
         // The same query misses for every other tenant (and the default).
         let acme = pipeline
-            .submit_for("acme", lookup("what is rust"))
+            .submit_for("acme", lookup("what is rust"), None)
             .unwrap()
             .wait();
         assert!(matches!(acme, ServeReply::Outcome(o) if o.is_hit()));
         let beta = pipeline
-            .submit_for("beta", lookup("what is rust"))
+            .submit_for("beta", lookup("what is rust"), None)
             .unwrap()
             .wait();
         assert!(matches!(
@@ -1762,13 +1747,13 @@ mod tests {
         // Flush is tenant-scoped: flushing beta leaves acme's entry alone.
         assert_eq!(
             pipeline
-                .submit_for("beta", ServeRequest::Flush)
+                .submit_for("beta", ServeRequest::Flush, None)
                 .unwrap()
                 .wait(),
             ServeReply::Flushed(0)
         );
         let still = pipeline
-            .submit_for("acme", lookup("what is rust"))
+            .submit_for("acme", lookup("what is rust"), None)
             .unwrap()
             .wait();
         assert!(matches!(still, ServeReply::Outcome(o) if o.is_hit()));
@@ -1864,7 +1849,7 @@ mod tests {
         pipeline.submit(insert("shared question", "r")).unwrap();
         let default_ticket = pipeline.submit(lookup("shared question")).unwrap();
         let acme_ticket = pipeline
-            .submit_for("acme", lookup("shared question"))
+            .submit_for("acme", lookup("shared question"), None)
             .unwrap();
         // Same query text, different tenants: never the same ticket.
         assert!(

@@ -720,7 +720,7 @@ impl EventLoop<'_> {
                 match self
                     .shared
                     .pipeline
-                    .submit_traced_for(&tenant, serve_request, trace)
+                    .submit_for(&tenant, serve_request, trace)
                 {
                     Ok(ticket) => {
                         // Resolution (on the batcher thread) marks this

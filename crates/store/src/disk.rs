@@ -40,7 +40,7 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use mc_tensor::Vector;
 
 use crate::wal::{self, FramedLog, FsyncPolicy, RecoveryStats};
-use crate::{CacheEntry, Result, StoreError};
+use crate::{failpoints, CacheEntry, Result, StoreError};
 
 const KIND_INSERT: u8 = 1;
 const KIND_REMOVE: u8 = 2;
@@ -85,7 +85,7 @@ impl DiskStore {
             // Pre-framing log: replay with the legacy parser, then rewrite
             // the file as a framed snapshot (one-time migration).
             let (entries, recovery) = Self::replay_legacy(&path)?;
-            write_snapshot(&path, entries.values())?;
+            write_compacted_log(&path, entries.values())?;
             let log = FramedLog::attach(&path, policy)?;
             return Ok(Self {
                 log,
@@ -251,7 +251,7 @@ impl DiskStore {
     /// Returns [`StoreError::Io`] on filesystem failure.
     pub fn compact(&mut self) -> Result<()> {
         let path = self.log.path().to_path_buf();
-        write_snapshot(&path, self.entries.values())?;
+        write_compacted_log(&path, self.entries.values())?;
         self.log = FramedLog::attach(&path, self.log.policy())?;
         Ok(())
     }
@@ -352,11 +352,26 @@ impl DiskStore {
     }
 }
 
-/// Atomically rewrites `path` as a framed snapshot: magic header, one
-/// insert per entry, and a footer carrying the record count. Writes to a
-/// temp file, fsyncs it, renames over `path`, then fsyncs the directory.
-fn write_snapshot<'a>(path: &Path, entries: impl Iterator<Item = &'a CacheEntry>) -> Result<()> {
-    let tmp_path = path.with_extension("compact");
+/// Atomically rewrites `path` as a compacted entry log: magic header, one
+/// insert per entry, and a footer carrying the record count. Writes to
+/// `<path>.compact`, fsyncs it, renames over `path`, then fsyncs the
+/// directory — whatever `path` held before survives any failure up to the
+/// rename. Returns the new log's length in bytes.
+///
+/// # Errors
+/// Returns [`StoreError::Io`] on filesystem failure.
+pub fn write_compacted_log<'a>(
+    path: &Path,
+    entries: impl Iterator<Item = &'a CacheEntry>,
+) -> Result<u64> {
+    let parent = path.parent().filter(|p| !p.as_os_str().is_empty());
+    if let Some(parent) = parent {
+        std::fs::create_dir_all(parent)?;
+    }
+    // Suffix the whole file name: `with_extension` would map every
+    // `<base>.shardN` of one sharded save to the same temp file.
+    let mut tmp_path = path.as_os_str().to_os_string();
+    tmp_path.push(".compact");
     let mut buf = Vec::with_capacity(4096);
     buf.extend_from_slice(wal::MAGIC);
     let mut count: u64 = 0;
@@ -368,19 +383,18 @@ fn write_snapshot<'a>(path: &Path, entries: impl Iterator<Item = &'a CacheEntry>
     {
         let mut tmp = File::create(&tmp_path)?;
         tmp.write_all(&buf)?;
+        if let Some(result) = failpoints::write_hook("wal.sync", &path.display().to_string(), 0) {
+            result?;
+        }
         tmp.sync_all()?;
     }
     std::fs::rename(&tmp_path, path)?;
     // Persist the rename itself (directory entry) where the platform
     // supports opening directories; best-effort elsewhere.
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = File::open(parent) {
-                dir.sync_all().ok();
-            }
-        }
+    if let Some(dir) = parent.and_then(|p| File::open(p).ok()) {
+        dir.sync_all().ok();
     }
-    Ok(())
+    Ok(buf.len() as u64)
 }
 
 fn encode_insert(entry: &CacheEntry) -> Bytes {
@@ -455,7 +469,6 @@ fn decode_insert(buf: &mut Bytes) -> Result<CacheEntry> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failpoints;
     use std::fs::OpenOptions;
     use std::path::PathBuf;
 
@@ -680,6 +693,37 @@ mod tests {
         // The entry is still present and removable once writes work again.
         assert!(store.get(1).is_some());
         assert!(store.remove(1).is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_compacted_write_keeps_the_previous_log() {
+        let path = temp_path("failed_compacted_write");
+        let tag = path.display().to_string();
+        let before = [entry(1, None), entry(2, Some(1))];
+        let len = write_compacted_log(&path, before.iter()).unwrap();
+        assert_eq!(len, std::fs::metadata(&path).unwrap().len());
+        failpoints::set_scoped(
+            "wal.sync",
+            &tag,
+            failpoints::FailAction::ErrorOnNth {
+                n: 1,
+                kind: std::io::ErrorKind::Other,
+            },
+        );
+        let after = [entry(7, None)];
+        assert!(matches!(
+            write_compacted_log(&path, after.iter()),
+            Err(StoreError::Io(_))
+        ));
+        failpoints::clear("wal.sync");
+        let store = DiskStore::open(&path).unwrap();
+        assert_eq!(store.iter().cloned().collect::<Vec<_>>(), before);
+        drop(store);
+        // Once writes work again the same call replaces the log.
+        write_compacted_log(&path, after.iter()).unwrap();
+        let store = DiskStore::open(&path).unwrap();
+        assert_eq!(store.iter().cloned().collect::<Vec<_>>(), after);
         std::fs::remove_file(&path).ok();
     }
 

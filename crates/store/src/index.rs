@@ -123,16 +123,6 @@ pub trait VectorIndex: Send + Sync {
     }
 }
 
-/// Former name of the brute-force index. The type is the same, but its
-/// methods (`add`/`remove`/`search`/…) now live on the [`VectorIndex`]
-/// trait, so pre-rename callers must additionally
-/// `use mc_store::VectorIndex;` to keep compiling.
-#[deprecated(
-    since = "0.2.0",
-    note = "renamed to `FlatIndex`; import `mc_store::VectorIndex` for its methods"
-)]
-pub type EmbeddingIndex = FlatIndex;
-
 /// Deployment-selectable index backend configuration.
 ///
 /// This is the knob `MeanCacheConfig` (and anything else that builds an
@@ -453,13 +443,5 @@ mod tests {
         assert_send_sync::<IvfIndex>();
         assert_send_sync::<AnyIndex>();
         assert_send_sync::<&dyn VectorIndex>();
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_alias_still_works() {
-        let mut idx = EmbeddingIndex::new(2).unwrap();
-        idx.add(1, &unit(vec![1.0, 0.0])).unwrap();
-        assert_eq!(idx.len(), 1);
     }
 }

@@ -61,7 +61,7 @@ pub mod rows;
 pub mod snapshot;
 pub mod wal;
 
-pub use disk::DiskStore;
+pub use disk::{write_compacted_log, DiskStore};
 pub use entry::CacheEntry;
 pub use flat::{FlatIndex, DEFAULT_PARALLEL_SEARCH_THRESHOLD};
 pub use index::{AnyIndex, IndexKind, SearchHit, VectorIndex};
@@ -73,9 +73,6 @@ pub use snapshot::{
     load_snapshot, prefix_fingerprint, save_snapshot, RestoredSnapshot, SnapshotView,
 };
 pub use wal::{FramedLog, FsyncPolicy, RecoveryStats};
-
-#[allow(deprecated)]
-pub use index::EmbeddingIndex;
 
 /// Errors surfaced by the storage substrate.
 #[derive(Debug)]

@@ -25,15 +25,11 @@
 //!   generator that reproduces them.
 //! * [`embeddings`] — synthetic embedding clouds with realistic topic
 //!   cluster structure, for vector-index benchmarks and recall tests.
-//! * [`tenancy`] — multi-tenant serving schedules: Zipf-skewed per-tenant
-//!   traffic shares with staggered diurnal bursts, each tenant drawing
-//!   from its own topic universe (the `exp_tenancy` experiment).
 
 pub mod contextual;
 pub mod embeddings;
 pub mod pairgen;
 pub mod streams;
-pub mod tenancy;
 pub mod topics;
 pub mod userstudy;
 
@@ -44,7 +40,6 @@ pub use contextual::{
 pub use embeddings::EmbeddingCloud;
 pub use pairgen::generate_pairs;
 pub use streams::{standalone_workload, CacheWorkload, ProbeQuery};
-pub use tenancy::{tenancy_workload, TenancyConfig, TenancyOp, TenancyWorkload, TenantLoad};
 pub use topics::{Topic, TopicBank};
 pub use userstudy::{participant_totals, participant_trace, TraceQuery, UserStudy};
 

@@ -161,7 +161,7 @@ fn ivf_sq8_recall_at_default_nprobe_stays_high() {
     // SQ8 rows really are quantised: at these 32 dims the whole index is
     // still >2x smaller despite the fixed id/cell-map/centroid overhead on
     // top of the 4x payload saving (at 768 dims the ratio reaches ~3.9x —
-    // see exp_index / BENCH_index.json).
+    // see exp_index).
     assert!(ivf_sq8.storage_bytes() * 2 < flat.storage_bytes());
     let mut hits = 0usize;
     let mut total = 0usize;
