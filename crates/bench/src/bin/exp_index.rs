@@ -3,13 +3,18 @@
 //!
 //! ```text
 //! exp_index [--sizes 1000,10000,100000]
+//! exp_index --crossover [--sizes 4096,8192,16384,32768] [--idle-us 0]
 //! ```
 //!
 //! CI runs the 1k tier as a smoke test (`--sizes 1000`); the default tiers
-//! reproduce the full 1k/10k/100k comparison.
+//! reproduce the full 1k/10k/100k comparison. `--crossover` instead prints
+//! sequential-vs-split flat scan timings per size (`--idle-us 500` sleeps
+//! before each timed call, an open-loop server's gaps).
 
 fn main() {
-    let mut sizes: Vec<usize> = vec![1_000, 10_000, 100_000];
+    let mut sizes: Option<Vec<usize>> = None;
+    let mut crossover = false;
+    let mut idle_us = 0u64;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -18,20 +23,32 @@ fn main() {
             "--sizes" => {
                 i += 1;
                 let spec = args.get(i).expect("--sizes needs a comma-separated list");
-                sizes = spec
+                let tiers: Vec<usize> = spec
                     .split(',')
                     .map(|s| s.trim().parse().expect("--sizes entries must be integers"))
                     .collect();
-                assert!(!sizes.is_empty(), "--sizes must name at least one tier");
+                assert!(!tiers.is_empty(), "--sizes must name at least one tier");
+                sizes = Some(tiers);
+            }
+            "--crossover" => crossover = true,
+            "--idle-us" => {
+                i += 1;
+                let spec = args.get(i).expect("--idle-us needs a microsecond count");
+                idle_us = spec.parse().expect("--idle-us must be an integer");
             }
             other => {
                 eprintln!("unknown argument `{other}`");
-                eprintln!("usage: exp_index [--sizes 1000,10000,100000]");
+                eprintln!("usage: exp_index [--crossover [--idle-us N]] [--sizes N,N,...]");
                 std::process::exit(2);
             }
         }
         i += 1;
     }
 
-    mc_bench::run_index_backends_with(&sizes);
+    if crossover {
+        let sizes = sizes.unwrap_or_else(|| vec![4_096, 8_192, 16_384, 32_768]);
+        mc_bench::run_index_crossover(&sizes, idle_us);
+    } else {
+        mc_bench::run_index_backends_with(&sizes.unwrap_or_else(|| vec![1_000, 10_000, 100_000]));
+    }
 }

@@ -800,6 +800,106 @@ pub fn run_index_backends_with(sizes: &[usize]) {
     );
 }
 
+/// The split flat scan in isolation (the companion of the end-to-end
+/// comparison `mc_store::DEFAULT_PARALLEL_SEARCH_THRESHOLD` is set from): the
+/// same rows in a never-splitting and an always-splitting `FlatIndex`
+/// (256 d, both codecs), searched alternately with `idle_us` of sleep before
+/// each timed call (0 = back to back, the pool stays warm; 500 = an open-loop
+/// server's gaps), then the same for an 8-query `search_batch`, whose
+/// `queries × rows` is held to the same rule. Prints sequential and split
+/// wall p50 and their ratio per size. On a shared host the ratio depends on
+/// whether the second vCPU is free, so read it over several runs.
+pub fn run_index_crossover(sizes: &[usize], idle_us: u64) {
+    use mc_store::{FlatIndex, Quantization, VectorIndex};
+
+    const DIMS: usize = 256;
+    const TOP_K: usize = 5;
+    const MIN_SCORE: f32 = 0.7;
+    const BATCH: usize = 8;
+    const ROUNDS: usize = 6; // the first is warm-up
+
+    let idle = std::time::Duration::from_micros(idle_us);
+    let timed_us = |run: &mut dyn FnMut()| {
+        if !idle.is_zero() {
+            std::thread::sleep(idle);
+        }
+        let started = Instant::now();
+        run();
+        started.elapsed().as_secs_f64() * 1e6
+    };
+    let mut table = Table::new(
+        format!("Sequential vs split flat scan - {DIMS}d, {idle_us}us idle before each call"),
+        &[
+            "codec",
+            "rows",
+            "call",
+            "sequential p50",
+            "split p50",
+            "split / seq",
+        ],
+    );
+    for quantization in [Quantization::F32, Quantization::Sq8] {
+        for &rows in sizes {
+            let cloud = mc_workloads::EmbeddingCloud::generate(
+                rows,
+                DIMS,
+                (rows / 50).max(8),
+                0.6,
+                EXPERIMENT_SEED ^ rows as u64,
+            );
+            let queries = cloud.probes(64, 0.25);
+            let build = |threshold| {
+                let mut index = FlatIndex::with_options(DIMS, threshold, quantization)
+                    .expect("valid index config");
+                for (id, v) in cloud.vectors.iter().enumerate() {
+                    index.add(id as u64, v).expect("consistent dims");
+                }
+                index
+            };
+            let (seq, split) = (build(usize::MAX), build(1));
+            let batches: Vec<Vec<&[f32]>> = queries
+                .chunks_exact(BATCH)
+                .map(|batch| batch.iter().map(Vec::as_slice).collect())
+                .collect();
+            let (mut single, mut batched) = ((Vec::new(), Vec::new()), (Vec::new(), Vec::new()));
+            for round in 0..ROUNDS {
+                for q in &queries {
+                    let a = timed_us(&mut || drop(seq.search(q, TOP_K, MIN_SCORE)));
+                    let b = timed_us(&mut || drop(split.search(q, TOP_K, MIN_SCORE)));
+                    if round > 0 {
+                        single.0.push(a);
+                        single.1.push(b);
+                    }
+                }
+                for batch in &batches {
+                    let a = timed_us(&mut || drop(seq.search_batch(batch, TOP_K, MIN_SCORE)));
+                    let b = timed_us(&mut || drop(split.search_batch(batch, TOP_K, MIN_SCORE)));
+                    if round > 0 {
+                        batched.0.push(a);
+                        batched.1.push(b);
+                    }
+                }
+            }
+            for (call, (mut seq_us, mut split_us)) in
+                [("search", single), ("search_batch x8", batched)]
+            {
+                seq_us.sort_by(f64::total_cmp);
+                split_us.sort_by(f64::total_cmp);
+                let (s, p) = (percentile(&seq_us, 0.5), percentile(&split_us, 0.5));
+                table.add_row(&[
+                    format!("{quantization:?}"),
+                    rows.to_string(),
+                    call.to_string(),
+                    format!("{s:.1}us"),
+                    format!("{p:.1}us"),
+                    format!("{:.2}", p / s.max(f64::EPSILON)),
+                ]);
+            }
+        }
+    }
+    println!("{table}");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

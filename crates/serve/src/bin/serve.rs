@@ -379,10 +379,11 @@ fn main() {
     let (cache, restored) = build_cache(&args);
     let handle = start_server(cache, &args, restored);
     println!(
-        "mc-serve listening on {} ({} shards, {} index, batch ≤ {} / {:?} linger, queue {} cap, {} conns max)",
+        "mc-serve listening on {} ({} shards, {} index, {} kernels, batch ≤ {} / {:?} linger, queue {} cap, {} conns max)",
         handle.addr(),
         args.shards,
         args.index.name(),
+        mc_tensor::kernels::active_isa(),
         args.serve_config.max_batch,
         args.serve_config.max_wait,
         args.serve_config.queue_capacity,
@@ -493,6 +494,10 @@ fn smoke(args: &Args) {
         assert!(
             metrics.contains("serve_latency_us_count"),
             "metrics: latency histogram\n{metrics}"
+        );
+        assert!(
+            metrics.contains("serve_kernel_info{isa=\""),
+            "metrics: live dot-kernel label\n{metrics}"
         );
         if let Some(path) = &metrics_out {
             std::fs::write(path, &metrics).expect("write --metrics-out");

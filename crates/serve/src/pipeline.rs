@@ -1290,15 +1290,18 @@ fn control_reply(
         }
         ServeRequest::Metrics => {
             metrics.record_control();
-            ServeReply::MetricsText(
-                ServeStatsSnapshot::collect_tenanted(
-                    tenants,
-                    metrics,
-                    queue.len(),
-                    queue.capacity(),
-                )
-                .render_text(),
-            )
+            let snapshot = ServeStatsSnapshot::collect_tenanted(
+                tenants,
+                metrics,
+                queue.len(),
+                queue.capacity(),
+            );
+            // Which dot kernel this server scores with. Appended here rather
+            // than rendered from the snapshot: the snapshot is a wire type,
+            // and the answer must be the serving process's, not a client's.
+            let isa = mc_tensor::kernels::active_isa();
+            let kernel = format!("serve_kernel_info{{isa=\"{isa}\"}} 1\n");
+            ServeReply::MetricsText(snapshot.render_text() + &kernel)
         }
         ServeRequest::TraceDump => {
             metrics.record_control();
@@ -1696,6 +1699,9 @@ mod tests {
         assert!(text.contains("serve_entries 1"));
         assert!(text.contains("serve_inserts_total 1"));
         assert!(text.contains("serve_latency_us_count"));
+        let isa = mc_tensor::kernels::active_isa();
+        assert!(["avx2+fma", "portable"].contains(&isa));
+        assert!(text.ends_with(&format!("serve_kernel_info{{isa=\"{isa}\"}} 1\n")));
         // The default config installs the embedding memo; the insert
         // encoded (and memoized) one embedding.
         assert!(text.contains("serve_memo_entries 1"));

@@ -12,20 +12,19 @@
 //! a little recall for sub-linear scans at large cache sizes.
 //!
 //! Rows live in a [`RowStore`], so the stored representation is a codec
-//! choice: `f32` (exact, the default — scoring is bit-identical to the
-//! pre-codec implementation) or SQ8 (4× smaller rows scanned with the fused
-//! asymmetric `f32 × u8` kernel at ≤ one quantisation step of score error).
-//! See [`crate::rows`] for the codec details.
+//! choice: `f32` (exact, the default) or SQ8 (4× smaller rows scanned with
+//! the fused asymmetric `f32 × u8` kernel at ≤ one quantisation step of score
+//! error). See [`crate::rows`] for the codec details.
 //!
 //! **Concurrency audit:** every search path (`search`, `search_batch`,
-//! `best_match`, `scores_for`, `hits_from_scores`) is `&self` over plain
-//! owned data — no interior mutability, no lazily materialised state — so
-//! concurrent readers are safe per the [`VectorIndex`] contract. The rayon
-//! dispatch inside a scan only *reads* the row arena.
+//! `best_match`, `top_hits`) is `&self` over plain owned data — no interior
+//! mutability, no lazily materialised state — so concurrent readers are safe
+//! per the [`VectorIndex`] contract. The rayon dispatch inside a scan only
+//! *reads* the row arena.
 
 use std::collections::HashMap;
 
-use mc_tensor::ops;
+use mc_tensor::ops::TopK;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -33,19 +32,24 @@ use crate::index::{SearchHit, VectorIndex};
 use crate::rows::{Quantization, RowStore};
 use crate::{Result, StoreError};
 
-/// Default for [`FlatIndex::parallel_threshold`]: the number of stored
-/// vectors above which lookups move to the rayon pool. Benchmarks can sweep
-/// this via [`FlatIndex::with_parallel_threshold`].
+/// Default for [`FlatIndex::parallel_threshold`]: the stored-vector count
+/// from which a lookup splits its scan over the rayon pool (for
+/// [`FlatIndex::search_batch`], the `queries × rows` from which a batch of
+/// 8+ fans out across queries).
 ///
-/// Tuned for the pooled rayon shim (a persistent worker pool since the
-/// serving PR — dispatch is a queue push + pool wakeup, single-digit µs,
-/// not thread spawn × core count, which is why this used to sit at 8192).
-/// At 64d an SQ8 scan costs roughly 15 µs per 1k rows, so from ~2k rows the
-/// split scan amortises a pool wakeup on multi-core hosts; below that the
-/// sequential scan is at worst a few µs slower than a perfectly-parallel
-/// one. Deployments can still override via
-/// `IndexKind::Flat { parallel_threshold }`.
-pub const DEFAULT_PARALLEL_SEARCH_THRESHOLD: usize = 2048;
+/// Kept at 2 048 on the end-to-end metric, against the isolated one (256 d
+/// SQ8, AVX2 kernel, 2 shared vCPUs): a build with the threshold at 16 384
+/// serves `serve_cold_open` (5 000-row shards) with `lookup_p50_us` 1.10× and
+/// `insert_p50_us` 1.03× this one's, in 10 and 9 of 10 alternating pairs.
+/// In isolation the same split search takes 80–151 µs wall / 131–163 µs CPU
+/// over six traced runs against 100 / 106 for one sequential pass, and
+/// `exp_index --crossover` is bimodal below ≈ 16 000 rows (≈ 0.6 with the
+/// second vCPU free, 1.0–1.6 without) — see README "Index backends".
+/// Override via `IndexKind::Flat { parallel_threshold }`.
+pub const DEFAULT_PARALLEL_SEARCH_THRESHOLD: usize = 2_048;
+
+/// Rows per task of a split scan: fixed, so every host decomposes alike.
+const TILE_ROWS: usize = 1024;
 
 /// Contiguous embedding index supporting add / remove / top-k search.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -171,20 +175,26 @@ impl FlatIndex {
         Ok(())
     }
 
-    fn scores_for(&self, query: &[f32]) -> Vec<f32> {
-        if self.rows.len() >= self.parallel_threshold {
-            self.rows.scores_par(query)
+    /// The top-`k` rows at or above `min_score`, best first, through the fused
+    /// [`RowStore::scan`]. `split` fans row tiles out over the rayon pool; the
+    /// merge is a total order (score, lower row), so hits equal the sequential.
+    fn top_hits(&self, query: &[f32], k: usize, min_score: f32, split: bool) -> Vec<SearchHit> {
+        let scan = |from: usize, rows: usize| {
+            self.rows
+                .scan(query, from..from + rows, min_score, 0, TopK::new(k))
+        };
+        let top = if split {
+            let tiles = self.rows.ids().par_chunks(TILE_ROWS).enumerate();
+            let scanned = tiles.map(|(tile, ids)| scan(tile * TILE_ROWS, ids.len()));
+            let partials: Vec<TopK> = scanned.collect();
+            partials.into_iter().fold(TopK::new(k), TopK::merge)
         } else {
-            self.rows.scores_seq(query)
-        }
-    }
-
-    fn hits_from_scores(&self, scores: &[f32], k: usize, min_score: f32) -> Vec<SearchHit> {
-        ops::top_k(scores, k)
+            scan(0, self.rows.len())
+        };
+        top.into_sorted_vec()
             .into_iter()
-            .filter(|(_, score)| *score >= min_score)
-            .map(|(pos, score)| SearchHit {
-                id: self.rows.ids()[pos],
+            .map(|(row, score)| SearchHit {
+                id: self.rows.ids()[row as usize],
                 score,
             })
             .collect()
@@ -239,8 +249,8 @@ impl VectorIndex for FlatIndex {
         if self.is_empty() || k == 0 {
             return Ok(Vec::new());
         }
-        let scores = self.scores_for(query);
-        Ok(self.hits_from_scores(&scores, k, min_score))
+        let split = self.rows.len() >= self.parallel_threshold;
+        Ok(self.top_hits(query, k, min_score, split))
     }
 
     fn search_batch(
@@ -256,20 +266,16 @@ impl VectorIndex for FlatIndex {
             return Ok(vec![Vec::new(); queries.len()]);
         }
         // One rayon dispatch for the whole batch: parallelism runs across
-        // probes (each scan stays sequential), which beats per-probe fork
-        // and join when replaying workloads. A *small* batch over a large
-        // index cannot saturate the pool that way, so it falls through to
-        // per-query searches, which parallelise within each scan instead.
+        // probes, each scan sequential. A *small* batch cannot saturate the
+        // pool that way, so it falls through to per-query searches, which
+        // split within each scan instead.
         const MIN_BATCH_FOR_CROSS_PROBE_PARALLELISM: usize = 8;
         if queries.len() >= MIN_BATCH_FOR_CROSS_PROBE_PARALLELISM
             && queries.len() * self.rows.len() >= self.parallel_threshold
         {
             Ok(queries
                 .par_iter()
-                .map(|query| {
-                    let scores = self.rows.scores_seq(query);
-                    self.hits_from_scores(&scores, k, min_score)
-                })
+                .map(|query| self.top_hits(query, k, min_score, false))
                 .collect())
         } else {
             queries

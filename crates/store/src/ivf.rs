@@ -27,13 +27,14 @@
 //!
 //! **Concurrency audit:** training/retraining happens only inside `add` /
 //! `remove` (`&mut self`); the search paths (`search`, `search_batch`,
-//! `probe_cells`, `scan_cells`, `top_hits`) are `&self` over the trained
+//! `probe_cells`, `top_hits`) are `&self` over the trained
 //! centroids and posting lists with no interior mutability, so concurrent
 //! readers are safe per the [`VectorIndex`] contract.
 
 use std::collections::HashMap;
 
-use mc_tensor::{ops, vector};
+use mc_tensor::ops::{self, TopK};
+use mc_tensor::vector;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -407,44 +408,19 @@ impl IvfIndex {
             .collect()
     }
 
-    /// Scores every vector of one cell against `query` (through the cell's
-    /// row codec — exact for `f32` rows, fused asymmetric for SQ8).
-    fn scan_cell(&self, query: &[f32], cell: usize) -> Vec<(u64, f32)> {
-        let list = &self.lists[cell];
-        list.ids()
-            .iter()
-            .copied()
-            .zip(list.scores_seq(query))
-            .collect()
-    }
-
-    /// Scans the given cells, returning every (id, score) candidate.
-    fn scan_cells(&self, query: &[f32], cells: &[usize]) -> Vec<(u64, f32)> {
-        let total: usize = cells.iter().map(|&c| self.lists[c].len()).sum();
-        if cells.len() > 1 && total >= 4096 {
-            // Rayon-parallel probe scan: one task per probed cell.
-            cells
-                .par_iter()
-                .map(|&cell| self.scan_cell(query, cell))
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            cells
-                .iter()
-                .flat_map(|&cell| self.scan_cell(query, cell))
-                .collect()
-        }
-    }
-
-    fn top_hits(candidates: Vec<(u64, f32)>, k: usize, min_score: f32) -> Vec<SearchHit> {
-        let scores: Vec<f32> = candidates.iter().map(|(_, s)| *s).collect();
-        ops::top_k(&scores, k)
+    /// The top-`k` entries at or above `min_score` over the given cells, best
+    /// first: every cell goes through the fused [`RowStore::scan`] into one
+    /// running top-k. A candidate's key is `(probe rank, row)`, so ties
+    /// resolve toward the better-ranked cell, then the lower row.
+    fn top_hits(&self, query: &[f32], cells: &[usize], k: usize, min_score: f32) -> Vec<SearchHit> {
+        let top = (0..cells.len()).fold(TopK::new(k), |top, rank| {
+            let list = &self.lists[cells[rank]];
+            list.scan(query, 0..list.len(), min_score, (rank as u64) << 32, top)
+        });
+        top.into_sorted_vec()
             .into_iter()
-            .filter(|(_, score)| *score >= min_score)
-            .map(|(pos, score)| SearchHit {
-                id: candidates[pos].0,
+            .map(|(key, score)| SearchHit {
+                id: self.lists[cells[(key >> 32) as usize]].ids()[key as u32 as usize],
                 score,
             })
             .collect()
@@ -522,9 +498,7 @@ impl VectorIndex for IvfIndex {
         if self.len == 0 || k == 0 {
             return Ok(Vec::new());
         }
-        let cells = self.probe_cells(query);
-        let candidates = self.scan_cells(query, &cells);
-        Ok(Self::top_hits(candidates, k, min_score))
+        Ok(self.top_hits(query, &self.probe_cells(query), k, min_score))
     }
 
     fn search_batch(
@@ -545,14 +519,7 @@ impl VectorIndex for IvfIndex {
         if queries.len() > 1 {
             Ok(queries
                 .par_iter()
-                .map(|query| {
-                    let cells = self.probe_cells(query);
-                    let candidates = cells
-                        .iter()
-                        .flat_map(|&cell| self.scan_cell(query, cell))
-                        .collect();
-                    Self::top_hits(candidates, k, min_score)
-                })
+                .map(|query| self.top_hits(query, &self.probe_cells(query), k, min_score))
                 .collect())
         } else {
             queries

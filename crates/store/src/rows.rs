@@ -7,8 +7,7 @@
 //! the two backends cannot drift, and makes the *representation* of a row a
 //! codec choice ([`Quantization`]):
 //!
-//! * [`Quantization::F32`] — rows are raw `f32` (exact; 4 bytes/dim). The
-//!   scoring path is bit-identical to the pre-codec implementation.
+//! * [`Quantization::F32`] — rows are raw `f32` (exact; 4 bytes/dim).
 //! * [`Quantization::Sq8`] — rows are 8-bit scalar-quantised (SQ8, the
 //!   IVF-SQ8 lineage of FAISS-style inverted files): one `u8` code per
 //!   dimension plus a per-row `scale`/`min` pair, i.e. `value ≈ min +
@@ -17,7 +16,7 @@
 //!   the hot dot-product loop becomes memory-bandwidth-friendly.
 //!
 //! Queries are **never quantised**: SQ8 scoring uses the asymmetric fused
-//! kernel (`mc_tensor::vector::dot_u8_asym`) — an `f32 × u8` widening
+//! kernel (`mc_tensor::kernels::scan_u8_asym`) — an `f32 × u8` widening
 //! multiply-add with the affine scale/zero-point correction applied once per
 //! row — so the score error stays at one quantisation step of the stored row.
 //!
@@ -36,10 +35,10 @@
 //! mutation API is unchanged and a restored index degrades gracefully into
 //! an ordinary owned one as entries churn.
 
+use std::ops::Range;
 use std::sync::Arc;
 
-use mc_tensor::{quant::QuantizedVec, vector};
-use rayon::prelude::*;
+use mc_tensor::{kernels, ops::TopK, quant::QuantizedVec, vector};
 use serde::{Deserialize, Serialize};
 
 use crate::mmap::MapRegion;
@@ -548,68 +547,53 @@ impl RowStore {
         }
     }
 
-    /// Cosine score of every row against an L2-normalised `query`,
-    /// sequentially, in row order.
-    ///
-    /// `F32` rows use the exact normalised-cosine kernel (bit-identical to
-    /// the pre-codec scan); `Sq8` rows use the fused asymmetric kernel with
-    /// the `Σ query` correction term hoisted out of the loop, clamped into
-    /// `[-1, 1]` like the exact kernel.
-    pub fn scores_seq(&self, query: &[f32]) -> Vec<f32> {
+    /// The one scan every search path goes through: scores rows `range`
+    /// against an L2-normalised `query` (cosines clamped into `[-1, 1]`; exact
+    /// kernel for `F32` rows, fused asymmetric kernel with `Σ query` hoisted
+    /// for `Sq8`) and offers each row that reaches the running cut —
+    /// `min_score`, then the selection's own k-th best once it fills — to
+    /// `top` under the key `key_base + row`. The kernel is entered once per
+    /// call and no per-row score is stored; a row scores the same bits
+    /// whatever `range` it is scanned in (`mc_tensor::kernels`). NaN scores,
+    /// and every score under a NaN `min_score`, reach no cut: never hits.
+    /// Panics if `query` is not `dims` wide or `range` exceeds the store.
+    pub fn scan(
+        &self,
+        query: &[f32],
+        range: Range<usize>,
+        min_score: f32,
+        key_base: u64,
+        mut top: TopK,
+    ) -> TopK {
+        assert_eq!(query.len(), self.dims, "scan: query width mismatch");
+        if range.is_empty() || min_score.is_nan() {
+            return top;
+        }
+        let mut cut = min_score.max(top.floor());
+        let offer = |row: usize, score: f32| {
+            let score = score.clamp(-1.0, 1.0);
+            if score >= cut {
+                top.push(key_base + (range.start + row) as u64, score);
+                cut = cut.max(top.floor());
+            }
+        };
+        let span = range.start * self.dims..range.end * self.dims;
         match &self.data {
-            RowData::F32 { values } => values
-                .as_slice()
-                .chunks_exact(self.dims)
-                .map(|row| vector::cosine_similarity_normalized(query, row))
-                .collect(),
+            RowData::F32 { values } => kernels::scan_f32(query, &values.as_slice()[span], offer),
             RowData::Sq8 {
                 codes,
                 scales,
                 mins,
-            } => {
-                let query_sum = vector::sum(query);
-                let (scales, mins) = (scales.as_slice(), mins.as_slice());
-                codes
-                    .as_slice()
-                    .chunks_exact(self.dims)
-                    .enumerate()
-                    .map(|(row, chunk)| {
-                        vector::dot_u8_asym(query, chunk, scales[row], mins[row], query_sum)
-                            .clamp(-1.0, 1.0)
-                    })
-                    .collect()
-            }
+            } => kernels::scan_u8_asym(
+                query,
+                &codes.as_slice()[span],
+                &scales.as_slice()[range.clone()],
+                &mins.as_slice()[range.clone()],
+                vector::sum(query),
+                offer,
+            ),
         }
-    }
-
-    /// [`Self::scores_seq`] parallelised over the rayon pool (row order is
-    /// preserved). Scores are identical to the sequential path; only the
-    /// scheduling differs.
-    pub fn scores_par(&self, query: &[f32]) -> Vec<f32> {
-        match &self.data {
-            RowData::F32 { values } => values
-                .as_slice()
-                .par_chunks(self.dims)
-                .map(|row| vector::cosine_similarity_normalized(query, row))
-                .collect(),
-            RowData::Sq8 {
-                codes,
-                scales,
-                mins,
-            } => {
-                let query_sum = vector::sum(query);
-                let (scales, mins) = (scales.as_slice(), mins.as_slice());
-                codes
-                    .as_slice()
-                    .par_chunks(self.dims)
-                    .enumerate()
-                    .map(|(row, chunk)| {
-                        vector::dot_u8_asym(query, chunk, scales[row], mins[row], query_sum)
-                            .clamp(-1.0, 1.0)
-                    })
-                    .collect()
-            }
-        }
+        top
     }
 
     /// True bytes held by the arenas: row payloads under the live codec plus
@@ -648,6 +632,14 @@ mod tests {
     fn unit(mut v: Vec<f32>) -> Vec<f32> {
         vector::normalize(&mut v);
         v
+    }
+
+    /// Every row's score, in row order.
+    fn scores(store: &RowStore, query: &[f32]) -> Vec<f32> {
+        let top = store.scan(query, 0..store.len(), -1.0, 0, TopK::new(store.len()));
+        let mut all = top.into_sorted_vec();
+        all.sort_by_key(|&(row, _)| row);
+        all.into_iter().map(|(_, score)| score).collect()
     }
 
     #[test]
@@ -702,14 +694,15 @@ mod tests {
             sq8_store.push(id, &v);
         }
         let query = unit(mc_tensor::rng::uniform_vec(dims, 1.0, &mut rng));
-        let exact = f32_store.scores_seq(&query);
-        let approx = sq8_store.scores_seq(&query);
+        let exact = scores(&f32_store, &query);
+        let approx = scores(&sq8_store, &query);
         for (e, a) in exact.iter().zip(&approx) {
             assert!((e - a).abs() < 0.05, "exact={e} approx={a}");
         }
-        // Parallel scoring is identical to sequential for both codecs.
-        assert_eq!(exact, f32_store.scores_par(&query));
-        assert_eq!(approx, sq8_store.scores_par(&query));
+        // A row scores the same bits alone, in a range, or in the whole scan.
+        let alone = |store: &RowStore, row| store.scan(&query, row..row + 1, -1.0, 0, TopK::new(1));
+        assert_eq!(alone(&f32_store, 77).into_sorted_vec(), [(77, exact[77])]);
+        assert_eq!(alone(&sq8_store, 77).into_sorted_vec(), [(77, approx[77])]);
     }
 
     #[test]
@@ -868,7 +861,7 @@ mod tests {
         assert!(mapped.is_mapped());
         assert_eq!(mapped.ids(), owned.ids());
         let query = unit(mc_tensor::rng::uniform_vec(dims, 1.0, &mut rng));
-        assert_eq!(mapped.scores_seq(&query), owned.scores_seq(&query));
+        assert_eq!(scores(&mapped, &query), scores(&owned, &query));
         for pos in 0..owned.len() {
             assert_eq!(mapped.sq8_row(pos), owned.sq8_row(pos));
         }

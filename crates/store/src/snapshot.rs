@@ -1143,8 +1143,10 @@ mod tests {
             IndexKind::ivf_sq8(),
         ] {
             // 600 entries crosses the IVF train_min, so trained state is
-            // exercised for the ivf kinds.
-            let (entries, index) = build_state(&kind, 600, 24);
+            // exercised for the ivf kinds. 37 dims leaves no row of a mapped
+            // arena 32-byte aligned and gives the scan kernel a body step and
+            // a scalar tail: mapped rows must score bit-identically to owned.
+            let (entries, index) = build_state(&kind, 600, 37);
             let path = temp_path(&format!("roundtrip_{}", kind.name()));
             save(&path, &entries, &index, &[(7, 0), (9, 1)]);
             for use_mmap in [true, false] {
@@ -1158,7 +1160,7 @@ mod tests {
                 // bit-identically (same scores, not just close ones).
                 let mut rng = rng::seeded(7);
                 for _ in 0..20 {
-                    let mut q = rng::uniform_vec(24, 1.0, &mut rng);
+                    let mut q = rng::uniform_vec(37, 1.0, &mut rng);
                     vector::normalize(&mut q);
                     assert_eq!(
                         restored.index.search(&q, 5, -1.0).unwrap(),

@@ -15,6 +15,9 @@
 //!   experiment in the benchmark harness is reproducible.
 //! * [`stats`] — mean/covariance computations used by the PCA compression
 //!   stage of `mc-embedder`.
+//! * [`kernels`] — the dot-product kernels under all of the above: an
+//!   AVX2+FMA implementation and a portable fallback, chosen once per
+//!   process, and the only module of this crate that contains `unsafe`.
 //! * [`quant`] — storage-size accounting and lossy quantisation helpers used
 //!   by the storage experiments (Figure 10 / Figure 15 of the paper).
 //!
@@ -23,6 +26,10 @@
 //! reusing buffers), and the parallel variants only split work when the
 //! problem is large enough for the fork/join overhead to pay off.
 
+#![deny(unsafe_op_in_unsafe_fn)]
+#![deny(clippy::undocumented_unsafe_blocks)]
+
+pub mod kernels;
 pub mod matrix;
 pub mod ops;
 pub mod quant;

@@ -2,6 +2,9 @@
 //! semantic-search path: softmax, log-sum-exp, pairwise similarity matrices,
 //! and parallel batched cosine scoring.
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use rayon::prelude::*;
 
 use crate::{vector, Matrix, Result, TensorError};
@@ -97,62 +100,123 @@ pub fn batch_cosine_normalized(query: &[f32], keys: &Matrix) -> Result<Vec<f32>>
 }
 
 /// One candidate of a top-k selection. The `Ord` impl ranks by score
-/// (higher = greater), breaking ties — and NaN incomparabilities — toward the
-/// lower index, so selection stays deterministic.
+/// (higher = greater, NaN below every number), breaking ties toward the lower
+/// key, so selection is a total order and stays deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Ranked {
-    idx: usize,
+    key: u64,
     score: f32,
 }
 
 impl Eq for Ranked {}
 
 impl Ord for Ranked {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
+        // `partial_cmp` is `None` only when a side is NaN; then the NaN side
+        // (or neither, for two NaNs) is the lesser.
         self.score
             .partial_cmp(&other.score)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(other.idx.cmp(&self.idx))
+            .unwrap_or_else(|| other.score.is_nan().cmp(&self.score.is_nan()))
+            .then(other.key.cmp(&self.key))
     }
 }
 
 impl PartialOrd for Ranked {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Indices and scores of the `k` largest entries of `scores`, in descending
-/// score order. Ties are broken by the lower index for determinism.
+/// A running selection of the `k` best `(key, score)` candidates offered so
+/// far: higher score first, ties toward the lower key.
 ///
-/// Selection runs through a bounded min-heap of the best `k` candidates seen
-/// so far — O(n log k) instead of the O(n log n) full sort, which matters in
-/// the index hot path where `n` is a 100k-entry scan and `k` is 5. Candidates
-/// that cannot beat the current k-th best are rejected with a single
-/// comparison and never touch the heap.
-pub fn top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
-    use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+/// Backed by a bounded min-heap — O(log k) per admitted candidate — so an
+/// index scan can feed it row by row instead of materialising every score.
+/// Because the order is total, the selection does not depend on the order
+/// candidates arrive in: partial selections over disjoint key ranges
+/// [`merge`](Self::merge) into exactly the selection a single pass makes.
+#[derive(Debug, Clone)]
+pub struct TopK {
+    k: usize,
+    /// The heap root is the *worst* kept candidate (`Reverse` flips the
+    /// max-heap), so one peek decides whether a newcomer displaces anything.
+    heap: BinaryHeap<Reverse<Ranked>>,
+}
 
-    if k == 0 || scores.is_empty() {
-        return Vec::new();
-    }
-    // The heap root is the *worst* of the kept candidates (Reverse flips the
-    // max-heap into a min-heap), so each new candidate needs one peek to know
-    // whether it displaces anything.
-    let mut heap: BinaryHeap<Reverse<Ranked>> = BinaryHeap::with_capacity(k.min(scores.len()));
-    for (idx, &score) in scores.iter().enumerate() {
-        let candidate = Ranked { idx, score };
-        if heap.len() < k {
-            heap.push(Reverse(candidate));
-        } else if candidate > heap.peek().expect("heap is non-empty").0 {
-            heap.pop();
-            heap.push(Reverse(candidate));
+impl TopK {
+    /// An empty selection of at most `k` candidates. Room for a typical `k`
+    /// is reserved up front (bounded: callers pass `usize::MAX` for "all").
+    pub fn new(k: usize) -> Self {
+        Self {
+            k,
+            heap: BinaryHeap::with_capacity(k.min(64)),
         }
     }
-    let mut kept: Vec<Ranked> = heap.into_iter().map(|r| r.0).collect();
-    kept.sort_by(|a, b| b.cmp(a));
-    kept.into_iter().map(|r| (r.idx, r.score)).collect()
+
+    /// Offers one candidate.
+    #[inline]
+    pub fn push(&mut self, key: u64, score: f32) {
+        let candidate = Reverse(Ranked { key, score });
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            // `Reverse`: the candidate ranks higher when it compares less.
+            if candidate < *worst {
+                *worst = candidate;
+            }
+        }
+    }
+
+    /// The score a candidate must reach to have any chance of admission:
+    /// the k-th best score once `k` candidates are kept, `-inf` before.
+    /// (A candidate *at* the floor is admitted only on a lower key.)
+    #[inline]
+    pub fn floor(&self) -> f32 {
+        if self.heap.len() < self.k {
+            f32::NEG_INFINITY
+        } else {
+            self.heap
+                .peek()
+                .map_or(f32::INFINITY, |worst| worst.0.score)
+        }
+    }
+
+    /// This selection with another's candidates folded in.
+    pub fn merge(mut self, other: TopK) -> TopK {
+        for candidate in other.heap {
+            self.push(candidate.0.key, candidate.0.score);
+        }
+        self
+    }
+
+    /// The kept candidates, best first.
+    pub fn into_sorted_vec(self) -> Vec<(u64, f32)> {
+        // Ascending in `Reverse<Ranked>` is descending in rank.
+        self.heap
+            .into_sorted_vec()
+            .into_iter()
+            .map(|candidate| (candidate.0.key, candidate.0.score))
+            .collect()
+    }
+}
+
+/// Indices and scores of the `k` largest entries of `scores`, in descending
+/// score order. Ties are broken by the lower index and NaN ranks below every
+/// number, for determinism.
+///
+/// The materialised-scores form of [`TopK`] — O(n log k) instead of the
+/// O(n log n) full sort. The index scans feed a [`TopK`] directly; this form
+/// ranks IVF centroids and is the reference the fused scans are tested
+/// against.
+pub fn top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
+    let mut top = TopK::new(k);
+    for (idx, &score) in scores.iter().enumerate() {
+        top.push(idx as u64, score);
+    }
+    top.into_sorted_vec()
+        .into_iter()
+        .map(|(idx, score)| (idx as usize, score))
+        .collect()
 }
 
 /// Clips every element of `values` to `[-limit, limit]` in place and returns

@@ -1,53 +1,40 @@
 //! Owned dense `f32` vectors and the slice-level kernels they wrap.
 //!
 //! The semantic cache spends most of its time computing cosine similarities
-//! between a freshly-encoded query embedding and every cached embedding, so
-//! the kernels here are deliberately branch-free inner loops over slices.
-//! The free functions ([`dot`], [`norm`], [`cosine_similarity`], …) operate on
-//! `&[f32]` so hot paths can work on borrowed storage without copying; the
-//! [`Vector`] type is a thin owned wrapper that adds shape checking and
-//! serde support for persistence.
+//! between a freshly-encoded query embedding and every cached embedding. The
+//! two kernels that time goes to — [`dot`] and [`dot_u8_asym`] — are thin
+//! safe entry points over [`crate::kernels`], which picks an AVX2+FMA or a
+//! portable implementation once per process; everything else here is plain
+//! loops over slices. The free functions ([`dot`], [`norm`],
+//! [`cosine_similarity`], …) operate on `&[f32]` so hot paths can work on
+//! borrowed storage without copying; the [`Vector`] type is a thin owned
+//! wrapper that adds shape checking and serde support for persistence.
 
 use serde::{Deserialize, Serialize};
 
-use crate::{Result, TensorError};
+use crate::{kernels, Result, TensorError};
 
-/// Dot product of two equal-length slices.
-///
-/// The loop is written with four independent accumulators so the compiler can
-/// keep multiple FMA chains in flight; this roughly doubles throughput on
-/// typical x86-64 targets compared to a single accumulator.
+/// Dot product of two equal-length slices, through the process's dispatched
+/// kernel (see [`crate::kernels`] for the lane layout and reduction order).
+/// The encoder's `matvec`, training, PCA, IVF centroid ranking and
+/// context-chain verification all reach the SIMD path through this function.
 ///
 /// # Panics
 /// Panics in debug builds if the slices differ in length; in release builds
-/// the shorter length is used (callers are expected to validate shapes at the
-/// API boundary via [`Vector`] or [`crate::Matrix`]).
+/// the product runs over the common prefix (both operands are trimmed to it
+/// before any kernel sees them, so a mismatch can never read out of bounds).
 #[inline]
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len(), "dot: length mismatch");
-    let n = a.len().min(b.len());
-    let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        s0 += a[j] * b[j];
-        s1 += a[j + 1] * b[j + 1];
-        s2 += a[j + 2] * b[j + 2];
-        s3 += a[j + 3] * b[j + 3];
-    }
-    let mut tail = 0.0f32;
-    for j in (chunks * 4)..n {
-        tail += a[j] * b[j];
-    }
-    s0 + s1 + s2 + s3 + tail
+    kernels::dot(a, b)
 }
 
 /// Widening dot product of two `i8` slices, accumulated in `i32`.
 ///
-/// The integer companion of [`dot`]: four independent `i32` accumulators so
-/// multiple multiply-add chains stay in flight, with each `i8 × i8` product
-/// widened before accumulation. Safe for any slice up to ~130k elements per
-/// accumulator lane (`i32::MAX / 127²`), far beyond embedding sizes.
+/// Four independent `i32` accumulators so multiple multiply-add chains stay
+/// in flight, with each `i8 × i8` product widened before accumulation. Safe
+/// for any slice up to ~130k elements per accumulator lane
+/// (`i32::MAX / 127²`), far beyond embedding sizes.
 ///
 /// # Panics
 /// Panics in debug builds if the slices differ in length; in release builds
@@ -107,50 +94,28 @@ pub fn dot_u8(a: &[u8], b: &[u8]) -> u32 {
 ///
 /// Computes `dot(query, dequantize(codes))` for a row stored as
 /// `value_j ≈ min + codes_j * scale` **without materialising the dequantised
-/// row**: the inner loop accumulates `Σ query_j · codes_j` with eight
-/// independent widening lanes (one `u8 → f32` convert + FMA per element),
-/// and the affine correction `scale · Σ q·c + min · Σ q` is applied once at
-/// the end. `query_sum` is `Σ query_j`, hoisted out so a scan over many rows
-/// computes it once per query rather than once per row.
-///
-/// The loop body is a fixed-width `chunks_exact` zip rather than the indexed
-/// 4-lane shape of [`dot`]: the bounds-check-free fixed windows are what
-/// lets the compiler emit packed `u8 → f32` widening conversions, which
-/// measures ~3× faster than the indexed form — enough for the scan to
-/// realise the 4× memory-bandwidth advantage of byte rows instead of being
-/// convert-bound.
+/// row**: the dispatched kernel accumulates `Σ query_j · codes_j` (one
+/// `u8 → f32` widening convert + multiply-add per element, in the same lane
+/// layout as [`dot`]), and the affine correction
+/// `scale · Σ q·c + min · Σ q` is applied once at the end. `query_sum` is
+/// `Σ query_j` ([`sum`]), hoisted out so a scan over many rows computes it
+/// once per query rather than once per row.
 ///
 /// Queries are never quantised on this path, which keeps the score error at
 /// one quantisation step of the *stored* row rather than two.
 ///
 /// # Panics
 /// Panics in debug builds if the slices differ in length; in release builds
-/// the shorter length is used.
+/// the product runs over the common prefix, as for [`dot`].
 #[inline]
 pub fn dot_u8_asym(query: &[f32], codes: &[u8], scale: f32, min: f32, query_sum: f32) -> f32 {
     debug_assert_eq!(query.len(), codes.len(), "dot_u8_asym: length mismatch");
-    const WIDTH: usize = 8;
-    let n = query.len().min(codes.len());
-    let mut lanes = [0.0f32; WIDTH];
-    let query_chunks = query[..n].chunks_exact(WIDTH);
-    let code_chunks = codes[..n].chunks_exact(WIDTH);
-    let query_rem = query_chunks.remainder();
-    let code_rem = code_chunks.remainder();
-    for (q, c) in query_chunks.zip(code_chunks) {
-        for k in 0..WIDTH {
-            lanes[k] += q[k] * c[k] as f32;
-        }
-    }
-    let mut tail = 0.0f32;
-    for (q, &c) in query_rem.iter().zip(code_rem.iter()) {
-        tail += q * c as f32;
-    }
-    scale * (lanes.iter().sum::<f32>() + tail) + min * query_sum
+    kernels::dot_u8_asym(query, codes, scale, min, query_sum)
 }
 
-/// Sum of the elements of a slice, with the same four-accumulator shape as
-/// [`dot`] (used to hoist the `Σ query` correction term of
-/// [`dot_u8_asym`] out of row scans).
+/// Sum of the elements of a slice over four independent scalar accumulators
+/// (used to hoist the `Σ query` correction term of [`dot_u8_asym`] out of
+/// row scans; it runs once per query, so it stays scalar).
 #[inline]
 pub fn sum(a: &[f32]) -> f32 {
     let (mut s0, mut s1, mut s2, mut s3) = (0.0f32, 0.0f32, 0.0f32, 0.0f32);
@@ -208,8 +173,8 @@ pub fn cosine_similarity_normalized(a: &[f32], b: &[f32]) -> f32 {
 /// In-place L2 normalisation. Vectors with a norm below `f32::EPSILON` are
 /// left untouched (normalising them would produce NaNs).
 ///
-/// The norm is the 4-lane [`dot`]; the rescale loop is unrolled to the same
-/// width so four independent multiplies stay in flight per iteration.
+/// The norm goes through the dispatched [`dot`]; the rescale is a plain
+/// four-wide unrolled loop the compiler vectorises.
 #[inline]
 pub fn normalize(a: &mut [f32]) {
     let n = norm(a);
@@ -231,10 +196,9 @@ pub fn normalize(a: &mut [f32]) {
 
 /// `y += alpha * x` (the BLAS AXPY primitive), used by every optimiser step.
 ///
-/// Unrolled four-wide like [`dot`]: the four fused multiply-adds per
-/// iteration are independent, so the optimiser-step hot loop (every layer of
-/// every federated client round goes through here) is no longer latency-bound
-/// on a single chain.
+/// Unrolled four-wide: the four multiply-adds per iteration are independent,
+/// so the optimiser-step hot loop (every layer of every federated client
+/// round goes through here) is not latency-bound on a single chain.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");

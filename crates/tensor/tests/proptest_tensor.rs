@@ -100,6 +100,57 @@ proptest! {
         }
     }
 
+    /// `top_k` (and the `TopK` accumulator under it, fed in any order and
+    /// merged from parts) is exactly a full sort's prefix: score descending,
+    /// ties toward the lower index, NaN after every number.
+    #[test]
+    fn top_k_matches_full_sort_with_ties_and_nans(
+        raw in prop::collection::vec(0u8..12, 0..48),
+        k in 0usize..56,
+        split in 0usize..48,
+    ) {
+        // Few distinct values force ties; the top value stands for NaN.
+        let scores: Vec<f32> = raw
+            .iter()
+            .map(|&v| if v == 11 { f32::NAN } else { v as f32 * 0.25 - 1.0 })
+            .collect();
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| {
+            let (x, y) = (scores[a], scores[b]);
+            x.is_nan()
+                .cmp(&y.is_nan())
+                .then(y.partial_cmp(&x).unwrap_or(std::cmp::Ordering::Equal))
+                .then(a.cmp(&b))
+        });
+        let expect: Vec<(usize, u32)> = order
+            .into_iter()
+            .take(k)
+            .map(|i| (i, scores[i].to_bits()))
+            .collect();
+        let got: Vec<(usize, u32)> = ops::top_k(&scores, k)
+            .into_iter()
+            .map(|(i, s)| (i, s.to_bits()))
+            .collect();
+        prop_assert_eq!(&got, &expect);
+
+        // Two partial selections, the second fed backwards, merge to the same.
+        let split = split.min(scores.len());
+        let (mut low, mut high) = (ops::TopK::new(k), ops::TopK::new(k));
+        for (i, &s) in scores[..split].iter().enumerate() {
+            low.push(i as u64, s);
+        }
+        for (i, &s) in scores[split..].iter().enumerate().rev() {
+            high.push((split + i) as u64, s);
+        }
+        let merged: Vec<(usize, u32)> = high
+            .merge(low)
+            .into_sorted_vec()
+            .into_iter()
+            .map(|(i, s)| (i as usize, s.to_bits()))
+            .collect();
+        prop_assert_eq!(&merged, &expect);
+    }
+
     #[test]
     fn quantization_error_is_within_one_step(values in finite_vec(1..256)) {
         let q = QuantizedVec::quantize(&values);
