@@ -15,8 +15,9 @@
 //!                     │ pop_batch(max_batch, max_wait)
 //!                     ▼
 //!            micro-batcher thread ──▶ root-pin GC sweep (periodic)
-//!        probe_batch ─▶ ordered commit ─▶ tickets ─▶ latency histogram
-//!                     │
+//!        probe_batch ─▶ ordered commit ─▶ writes staged on the WAL
+//!                     │ one WAL commit (one fdatasync) per batch, then
+//!                     │ every ticket of the batch ─▶ latency histogram
 //!                     ▼
 //!       ShardedCache ─▶ EmbeddingMemo (sharded LRU in front of encoder)
 //! ```
@@ -39,7 +40,13 @@
 //!   [`ServeConfig::max_wait`] after the first), then drives the whole batch
 //!   through [`meancache::SemanticCache::probe_batch`] and commits outcomes
 //!   strictly in submission order — so batched responses are
-//!   decision-identical to sequential lookups. When the queue is full,
+//!   decision-identical to sequential lookups. The batch is also the unit
+//!   of syncing and of replying: writes stage their WAL records as they
+//!   execute, the end of the batch (and a `Save`) is a commit point that
+//!   pays one `fdatasync` for all of them under `--fsync always`, and only
+//!   then do the batch's tickets resolve, back to back — no write is
+//!   acknowledged before the sync covering it, and a batch costs the event
+//!   loop one wake-up. When the queue is full,
 //!   [`ServePipeline::submit`] fails fast with
 //!   [`queue::SubmitError::Overloaded`] and the connection layer answers
 //!   `Busy`: load is shed at the door, not buffered into unbounded latency.

@@ -13,6 +13,11 @@
 //! recency metadata). Runs never span tenants, so one tenant's probes stay
 //! bit-independent of a neighbour's traffic.
 //!
+//! The batch is also the unit of syncing and of replying: writes stage
+//! their WAL records as they execute, one commit (one `fdatasync` under
+//! `fsync = Always`) covers the batch, and only then do the batch's tickets
+//! resolve, together — see [`ServeConfig::fsync`] for what an ack promises.
+//!
 //! Backpressure: the queue refuses pushes at capacity
 //! ([`SubmitError::Overloaded`]) instead of buffering unboundedly, and
 //! shutdown closes the queue but drains everything already admitted — every
@@ -356,30 +361,16 @@ impl Ticket {
     }
 
     /// Resolves the ticket. Called exactly once per submitted ticket, by
-    /// the batcher. Watchers run here, on the resolving thread, after the
-    /// lock is released — so a watcher may freely take other locks.
+    /// the batcher's release step; a second call is a bug (checked in debug
+    /// builds) and never replaces the reply a waiter may already have read.
+    /// Watchers run here, on the resolving thread, after the lock is
+    /// released — so a watcher may freely take other locks.
     pub(crate) fn resolve(&self, reply: ServeReply) {
         let watchers = {
             let mut state = self.0.state.lock().expect("ticket lock poisoned");
-            debug_assert!(state.reply.is_none(), "a ticket resolves exactly once");
-            state.reply = Some(reply);
-            std::mem::take(&mut state.watchers)
-        };
-        self.0.ready.notify_all();
-        for watcher in watchers {
-            watcher();
-        }
-    }
-
-    /// Resolves the ticket only if it has not resolved yet; returns whether
-    /// this call did the resolving. The panic-isolation path uses this to
-    /// sweep a batch after `catch_unwind` — some tickets resolved before
-    /// the panic, and those must not resolve twice.
-    pub(crate) fn resolve_if_pending(&self, reply: ServeReply) -> bool {
-        let watchers = {
-            let mut state = self.0.state.lock().expect("ticket lock poisoned");
             if state.reply.is_some() {
-                return false;
+                debug_assert!(false, "a ticket resolves exactly once");
+                return;
             }
             state.reply = Some(reply);
             std::mem::take(&mut state.watchers)
@@ -388,7 +379,6 @@ impl Ticket {
         for watcher in watchers {
             watcher();
         }
-        true
     }
 
     /// Registers a callback to run when the ticket resolves (immediately,
@@ -886,11 +876,12 @@ fn persist_all(tenants: &TenantedCache, path: &Path) -> meancache::Result<u64> {
 
 fn batcher_loop(
     mut tenants: TenantedCache,
-    mut wal: Option<ServeWal>,
+    wal: Option<ServeWal>,
     queue: &BoundedQueue<Submitted>,
     metrics: &ServeMetrics,
     config: &ServeConfig,
 ) {
+    let mut wal = BatchedWal { wal, staged: 0 };
     let mut batch: Vec<Submitted> = Vec::with_capacity(config.max_batch.max(1));
     let mut last_sweep = Instant::now();
     loop {
@@ -944,7 +935,7 @@ fn batcher_loop(
     if let Some(path) = &config.persist_path {
         match persist_all(&tenants, path) {
             Ok(_) => {
-                if let Some(wal) = wal.as_mut() {
+                if let Some(wal) = wal.wal.as_mut() {
                     if let Err(e) = wal.reset() {
                         eprintln!("mc-serve: failed to reset WAL after shutdown save: {e}");
                     }
@@ -958,6 +949,64 @@ fn batcher_loop(
     }
 }
 
+/// The serve WAL as the batcher drives it: writes stage their records as
+/// they execute, and each commit point pays one [`ServeWal::commit`] — one
+/// `fdatasync` under [`FsyncPolicy::Always`] — for all of them before any
+/// of their tickets resolve.
+struct BatchedWal {
+    /// `None` when the server runs without a persist path.
+    wal: Option<ServeWal>,
+    /// Records staged since the last commit.
+    staged: u64,
+}
+
+impl BatchedWal {
+    /// Stages the record of a write that has just executed. A failed write
+    /// degrades durability (the write survives in memory and in the next
+    /// snapshot) but must not fail the already-executed request — it is
+    /// logged and counted so operators see the degradation.
+    fn stage(
+        &mut self,
+        metrics: &ServeMetrics,
+        stage: impl FnOnce(&mut ServeWal) -> Result<(), StoreError>,
+    ) {
+        let Some(wal) = self.wal.as_mut() else { return };
+        match stage(wal) {
+            Ok(()) => self.staged += 1,
+            Err(e) => {
+                metrics.record_wal_append_errors(1);
+                eprintln!("mc-serve: WAL append failed (durability degraded until next save): {e}");
+            }
+        }
+    }
+
+    /// Commits everything staged: the sync every held write ack waits for.
+    /// A failed commit is the degradation of a failed stage, once for each
+    /// record it was meant to cover.
+    fn commit(&mut self, metrics: &ServeMetrics) {
+        let staged = std::mem::take(&mut self.staged);
+        let Some(wal) = self.wal.as_mut() else { return };
+        if staged == 0 {
+            return;
+        }
+        match wal.commit() {
+            Ok(synced) => metrics.record_wal_commit(staged, synced),
+            Err(e) => {
+                metrics.record_wal_append_errors(staged);
+                eprintln!(
+                    "mc-serve: WAL commit of {staged} record(s) failed \
+                     (durability degraded until next save): {e}"
+                );
+            }
+        }
+    }
+}
+
+/// A request the batch has executed but not yet answered: the reply its
+/// ticket resolves with at the next commit point, and the flight-recorder
+/// flags of how it ended (`flag::DEADLINE_EXPIRED`, `flag::PANICKED`, or 0).
+type Held = (ServeReply, u64);
+
 /// Executes one formed batch in submission order, grouping maximal runs of
 /// consecutive *same-tenant* lookups into single `probe_batch` passes with
 /// duplicate requests **coalesced**: identical `(query, context)` pairs in
@@ -969,19 +1018,41 @@ fn batcher_loop(
 /// still run once per *request* in submission order, so eviction recency
 /// matches sequential serving exactly. Runs break at tenant boundaries —
 /// coalescing never crosses tenants.
+///
+/// The batch, not the request, is the unit of syncing and of replying.
+/// Every request parks its reply in `held` as it executes; the end of the
+/// batch — and a `Save`, which resets the WAL — is a commit point, where
+/// [`commit_and_release`] pays one WAL commit for every write staged so far
+/// and only then resolves the parked tickets. So `ack ⇒ durable` holds to
+/// the letter (no write is acknowledged before the sync covering its record
+/// returns, and no lookup that saw a not-yet-durable insert is answered
+/// before it either), while N writes cost one `fdatasync` and N replies one
+/// event-loop wake-up. A batch of one commits and releases exactly as a
+/// lone request always did.
 fn execute_batch(
     tenants: &mut TenantedCache,
-    wal: &mut Option<ServeWal>,
+    wal: &mut BatchedWal,
     batch: &[Submitted],
     queue: &BoundedQueue<Submitted>,
     metrics: &ServeMetrics,
     config: &ServeConfig,
 ) {
+    let mut held: Vec<Option<Held>> = batch.iter().map(|_| None).collect();
+    // `batch[..released]` have been answered already.
+    let mut released = 0;
     let mut i = 0;
     while i < batch.len() {
         let is_lookup = matches!(batch[i].request, ServeRequest::Lookup { .. });
         if !is_lookup {
-            execute_control(tenants, wal, &batch[i], queue, metrics, config);
+            if matches!(batch[i].request, ServeRequest::Save) {
+                // The save truncates the WAL; what is staged must be
+                // committed (and may as well be answered) before that.
+                commit_and_release(wal, &batch[released..i], &mut held[released..i], metrics);
+                released = i;
+            }
+            held[i] = Some(execute_control(
+                tenants, wal, &batch[i], queue, metrics, config,
+            ));
             i += 1;
             continue;
         }
@@ -992,8 +1063,44 @@ fn execute_batch(
         {
             j += 1;
         }
-        execute_lookup_run(tenants, &batch[i..j], metrics, config);
+        execute_lookup_run(tenants, &batch[i..j], &mut held[i..j], metrics, config);
         i = j;
+    }
+    commit_and_release(wal, &batch[released..], &mut held[released..], metrics);
+}
+
+/// A commit point: one WAL commit for everything staged, then — and only
+/// then — every parked reply of `items` leaves, in submission order. This is
+/// the one place a batch's tickets resolve; resolving them back to back is
+/// also what lets the event loop's waker coalesce a batch into one wake-up.
+fn commit_and_release(
+    wal: &mut BatchedWal,
+    items: &[Submitted],
+    held: &mut [Option<Held>],
+    metrics: &ServeMetrics,
+) {
+    wal.commit(metrics);
+    for (item, slot) in items.iter().zip(held) {
+        let (reply, flags) = slot
+            .take()
+            .expect("every executed request parks exactly one reply");
+        let trace = item.ticket.trace();
+        if !matches!(item.request, ServeRequest::Lookup { .. }) {
+            // A write's commit stage ends with the sync that covers it.
+            if let Some(t) = trace {
+                t.mark(Stage::Committed);
+            }
+        }
+        // Outliers (slow, deadline-expired, panicked) always land in the
+        // flight recorder: `record_done` force-records them, synthesising a
+        // trace when the request wasn't sampled.
+        metrics.record_done(
+            item.accepted_at.elapsed(),
+            request_kind(&item.request),
+            trace,
+            flags,
+        );
+        item.ticket.resolve(reply);
     }
 }
 
@@ -1002,45 +1109,41 @@ fn past_deadline(item: &Submitted, config: &ServeConfig) -> bool {
     !config.request_deadline.is_zero() && item.accepted_at.elapsed() > config.request_deadline
 }
 
-/// Executes one maximal run of consecutive same-tenant lookups: expired
-/// deadlines are answered without probing, the rest probe (coalesced when
-/// the run has duplicates) behind a panic fence — a panic in cache code
-/// resolves the run's outstanding tickets with a retryable error instead of
-/// killing the batcher and stranding every future request. Every outcome is
-/// screened through the tenant's TTL/epoch rules before it resolves.
+/// Executes one maximal run of consecutive same-tenant lookups, parking
+/// each reply in its `held` slot: expired deadlines are answered without
+/// probing, the rest probe (coalesced when the run has duplicates) behind a
+/// panic fence — a panic in cache code answers the run's unfinished lookups
+/// with a retryable error instead of killing the batcher and stranding
+/// every future request. Every outcome is screened through the tenant's
+/// TTL/epoch rules before it is parked.
 fn execute_lookup_run(
     tenants: &TenantedCache,
     run: &[Submitted],
+    held: &mut [Option<Held>],
     metrics: &ServeMetrics,
     config: &ServeConfig,
 ) {
     let tenant = run[0].tenant.as_str();
     // Deadline pass: a lookup whose client has already given up is not
     // worth a probe. Lookups are read-only, so skipping one is invisible
-    // to the served history; the ticket resolves retryable.
-    let mut live: Vec<&Submitted> = Vec::with_capacity(run.len());
-    for item in run {
+    // to the served history; the reply is retryable.
+    let mut live: Vec<(&Submitted, &mut Option<Held>)> = Vec::with_capacity(run.len());
+    for (item, slot) in run.iter().zip(held) {
         if past_deadline(item, config) {
             metrics.record_deadline_expired();
-            // Deadline-expired requests always land in the flight recorder:
-            // `record_done` force-records them, synthesising a trace when
-            // the request wasn't sampled.
-            metrics.record_done(
-                item.accepted_at.elapsed(),
-                "lookup",
-                item.ticket.trace(),
-                flag::DEADLINE_EXPIRED,
-            );
-            item.ticket.resolve(ServeReply::failed(
-                ErrorCode::DeadlineExceeded,
-                true,
-                format!(
-                    "queued past the {:?} request deadline; not executed",
-                    config.request_deadline
+            *slot = Some((
+                ServeReply::failed(
+                    ErrorCode::DeadlineExceeded,
+                    true,
+                    format!(
+                        "queued past the {:?} request deadline; not executed",
+                        config.request_deadline
+                    ),
                 ),
+                flag::DEADLINE_EXPIRED,
             ));
         } else {
-            live.push(item);
+            live.push((item, slot));
         }
     }
     if live.is_empty() {
@@ -1050,11 +1153,9 @@ fn execute_lookup_run(
         // Unknown tenant (direct pipeline callers only; the server
         // validates at handshake time): a lookup against a namespace with
         // no cache is a miss by definition.
-        for item in &live {
+        for (_, slot) in live {
             metrics.record_served(false);
-            metrics.record_done(item.accepted_at.elapsed(), "lookup", item.ticket.trace(), 0);
-            item.ticket
-                .resolve(ServeReply::Outcome(CacheDecisionOutcome::Miss));
+            *slot = Some((ServeReply::Outcome(CacheDecisionOutcome::Miss), 0));
         }
         return;
     };
@@ -1063,14 +1164,14 @@ fn execute_lookup_run(
         // without contriving a real cache bug. Inert outside test builds.
         // The tag is the run's first query so tests can scope the fuse to
         // their own traffic.
-        let fuse_tag = match &live[0].request {
+        let fuse_tag = match &live[0].0.request {
             ServeRequest::Lookup { query, .. } => query.as_str(),
             _ => "lookup",
         };
         if let Some(Err(e)) = mc_store::failpoints::write_hook("serve.batch.work", fuse_tag, 0) {
             panic!("injected batch-work panic: {e}");
         }
-        if let [item] = live[..] {
+        if let [(item, slot)] = &mut live[..] {
             // Singleton run: the plain probe path, no batch machinery. This
             // is also the entire hot path of a `max_batch = 1` (unbatched)
             // configuration.
@@ -1102,8 +1203,7 @@ fn execute_lookup_run(
                 t.mark(Stage::Committed);
             }
             metrics.record_served(outcome.is_hit());
-            metrics.record_done(item.accepted_at.elapsed(), "lookup", trace, 0);
-            item.ticket.resolve(ServeReply::Outcome(outcome));
+            **slot = Some((ServeReply::Outcome(outcome), 0));
             return;
         }
         // Coalesce duplicates: probe each distinct (query, context) once.
@@ -1111,7 +1211,7 @@ fn execute_lookup_run(
         let mut index_of: HashMap<(&str, &[String]), usize> = HashMap::with_capacity(live.len());
         let assigned: Vec<usize> = live
             .iter()
-            .map(|item| match &item.request {
+            .map(|(item, _)| match &item.request {
                 ServeRequest::Lookup { query, context } => *index_of
                     .entry((query.as_str(), context.as_slice()))
                     .or_insert_with(|| {
@@ -1125,7 +1225,7 @@ fn execute_lookup_run(
         let coalesced = live.len() > unique.len();
         // Sampled items get their memo consultation attributed before the
         // batch probe (cheap: the probe's own encode becomes a memo hit).
-        for item in &live {
+        for (item, _) in &live {
             if let Some(t) = item.ticket.trace() {
                 if let ServeRequest::Lookup { query, .. } = &item.request {
                     if let Some(hit) = store.cache().warm_memo(query) {
@@ -1146,17 +1246,17 @@ fn execute_lookup_run(
         for _ in &unique {
             metrics.record_probe_micros(probe_us);
         }
-        for item in &live {
+        for (item, _) in &live {
             if let Some(t) = item.ticket.trace() {
                 t.mark(Stage::Probed);
             }
         }
-        // Screen, then commit in submission order before resolving each
-        // ticket: the served history (including LRU/LFU touches) matches
+        // Screen, then commit in submission order before parking each
+        // reply: the served history (including LRU/LFU touches) matches
         // sequential `lookup` calls exactly. A screened (expired/stale) hit
-        // resolves as a miss and is *not* committed — dead entries get no
+        // is answered as a miss and is *not* committed — dead entries get no
         // recency credit.
-        for (item, &unique_index) in live.iter().zip(&assigned) {
+        for ((item, slot), &unique_index) in live.iter_mut().zip(&assigned) {
             let outcome = tenants.screen(tenant, outcomes[unique_index].clone());
             let commit_start = Instant::now();
             tenants.commit(tenant, &outcome);
@@ -1165,64 +1265,38 @@ fn execute_lookup_run(
                 t.mark(Stage::Committed);
             }
             metrics.record_served(outcome.is_hit());
-            metrics.record_done(item.accepted_at.elapsed(), "lookup", item.ticket.trace(), 0);
-            item.ticket.resolve(ServeReply::Outcome(outcome));
+            **slot = Some((ServeReply::Outcome(outcome), 0));
         }
     }));
     if fenced.is_err() {
         // The cache's locks recover from poisoning (probes never leave
-        // partial writes), so the next batch proceeds; every ticket the
-        // panic stranded resolves retryable — lookups are read-only, so
-        // "not executed" is certain.
+        // partial writes), so the next batch proceeds; every lookup the
+        // panic left unanswered gets a retryable reply — lookups are
+        // read-only, so "not executed" is certain.
         metrics.record_panic_caught();
-        for item in &live {
-            let resolved = item.ticket.resolve_if_pending(ServeReply::failed(
-                ErrorCode::Panicked,
-                true,
-                "cache work panicked mid-batch; lookup not executed",
+        for (_, slot) in live.iter_mut().filter(|(_, slot)| slot.is_none()) {
+            **slot = Some((
+                ServeReply::failed(
+                    ErrorCode::Panicked,
+                    true,
+                    "cache work panicked mid-batch; lookup not executed",
+                ),
+                flag::PANICKED,
             ));
-            if resolved {
-                // Panicked requests always land in the flight recorder,
-                // sampled or not.
-                metrics.record_done(
-                    item.accepted_at.elapsed(),
-                    "lookup",
-                    item.ticket.trace(),
-                    flag::PANICKED,
-                );
-            }
         }
     }
 }
 
-/// Runs a WAL append for an acknowledged write. An append failure degrades
-/// durability (the write survives in memory and in the next snapshot) but
-/// must not fail the already-executed request — it is logged and counted
-/// so operators see the degradation.
-fn append_wal(
-    wal: &mut Option<ServeWal>,
-    metrics: &ServeMetrics,
-    append: impl FnOnce(&mut ServeWal) -> Result<(), StoreError>,
-) {
-    let Some(wal) = wal.as_mut() else { return };
-    match append(wal) {
-        Ok(()) => metrics.record_wal_append(),
-        Err(e) => {
-            metrics.record_wal_append_error();
-            eprintln!("mc-serve: WAL append failed (durability degraded until next save): {e}");
-        }
-    }
-}
-
+/// Executes one non-lookup request and returns the reply to park for it.
 fn execute_control(
     tenants: &mut TenantedCache,
-    wal: &mut Option<ServeWal>,
+    wal: &mut BatchedWal,
     item: &Submitted,
     queue: &BoundedQueue<Submitted>,
     metrics: &ServeMetrics,
     config: &ServeConfig,
-) {
-    // Panic fence: a panic inside cache work resolves this ticket with an
+) -> Held {
+    // Panic fence: a panic inside cache work answers this request with an
     // error frame instead of killing the batcher thread. Writes are
     // append-or-nothing at the cache layer, but a panic leaves "whether it
     // applied" unknown — the reply says so and is marked retryable per the
@@ -1230,30 +1304,23 @@ fn execute_control(
     let fenced = catch_unwind(AssertUnwindSafe(|| {
         control_reply(tenants, wal, item, queue, metrics, config)
     }));
-    let panicked = fenced.is_err();
-    let reply = fenced.unwrap_or_else(|_| {
-        metrics.record_panic_caught();
-        ServeReply::failed(
-            ErrorCode::Panicked,
-            true,
-            "cache work panicked mid-request; whether it applied is unknown",
-        )
-    });
-    if let Some(t) = item.ticket.trace() {
-        t.mark(Stage::Committed);
+    match fenced {
+        Ok(reply) => (reply, 0),
+        Err(_) => {
+            metrics.record_panic_caught();
+            let reply = ServeReply::failed(
+                ErrorCode::Panicked,
+                true,
+                "cache work panicked mid-request; whether it applied is unknown",
+            );
+            (reply, flag::PANICKED)
+        }
     }
-    metrics.record_done(
-        item.accepted_at.elapsed(),
-        request_kind(&item.request),
-        item.ticket.trace(),
-        if panicked { flag::PANICKED } else { 0 },
-    );
-    item.ticket.resolve(reply);
 }
 
 fn control_reply(
     tenants: &mut TenantedCache,
-    wal: &mut Option<ServeWal>,
+    wal: &mut BatchedWal,
     item: &Submitted,
     queue: &BoundedQueue<Submitted>,
     metrics: &ServeMetrics,
@@ -1267,13 +1334,13 @@ fn control_reply(
         } => match tenants.insert(&item.tenant, query, response, context) {
             Ok(id) => {
                 metrics.record_insert();
-                // Logged (and fsynced per policy) before the ticket
-                // resolves: under `--fsync always` an acknowledged insert
-                // is already durable when the client reads its response.
-                // Always tenant-explicit — only legacy logs carry bare
-                // inserts.
-                append_wal(wal, metrics, |w| {
-                    w.append_insert_for(&item.tenant, query, response, context)
+                // Staged now, committed (fsynced per policy) with the rest
+                // of the batch before the ticket resolves: under `--fsync
+                // always` an acknowledged insert is already durable when
+                // the client reads its response. Always tenant-explicit —
+                // only legacy logs carry bare inserts.
+                wal.stage(metrics, |w| {
+                    w.stage_insert(&item.tenant, query, response, context)
                 });
                 ServeReply::Inserted(id)
             }
@@ -1357,9 +1424,9 @@ fn control_reply(
                     Ok(saved) => {
                         // The snapshot now covers everything the WAL held;
                         // truncate so the next boot does not double-replay.
-                        if let Some(wal) = wal.as_mut() {
+                        if let Some(wal) = wal.wal.as_mut() {
                             if let Err(e) = wal.reset() {
-                                metrics.record_wal_append_error();
+                                metrics.record_wal_append_errors(1);
                                 eprintln!("mc-serve: WAL reset after save failed: {e}");
                             }
                         }
@@ -1388,7 +1455,7 @@ fn control_reply(
                     // its hash fallback. Neighbouring tenants are untouched.
                     match tenants.flush(&item.tenant) {
                         Ok(()) => {
-                            append_wal(wal, metrics, |w| w.append_flush_for(&item.tenant));
+                            wal.stage(metrics, |w| w.stage_flush(&item.tenant));
                             ServeReply::Flushed(evicted)
                         }
                         Err(e) => ServeReply::failed(
@@ -1413,7 +1480,7 @@ fn control_reply(
                     metrics.record_ttl_reclaimed(tenants.sweep() as u64);
                     // The WAL records the *resulting* epoch so replay is a
                     // max-merge, idempotent under retries and reordering.
-                    append_wal(wal, metrics, |w| w.append_invalidate(tenant, new_epoch));
+                    wal.stage(metrics, |w| w.stage_invalidate(tenant, new_epoch));
                     ServeReply::Invalidated(new_epoch)
                 }
                 None => ServeReply::failed(

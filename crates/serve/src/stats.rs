@@ -58,6 +58,7 @@ pub struct ServeMetrics {
     deadline_expired: AtomicU64,
     panics_caught: AtomicU64,
     wal_appends: AtomicU64,
+    wal_syncs: AtomicU64,
     wal_append_errors: AtomicU64,
     wal_replayed: AtomicU64,
     idle_reaped: AtomicU64,
@@ -96,6 +97,7 @@ impl Default for ServeMetrics {
             deadline_expired: AtomicU64::new(0),
             panics_caught: AtomicU64::new(0),
             wal_appends: AtomicU64::new(0),
+            wal_syncs: AtomicU64::new(0),
             wal_append_errors: AtomicU64::new(0),
             wal_replayed: AtomicU64::new(0),
             idle_reaped: AtomicU64::new(0),
@@ -216,15 +218,19 @@ impl ServeMetrics {
         self.panics_caught.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// An acknowledged write was appended to the serve WAL.
-    pub fn record_wal_append(&self) {
-        self.wal_appends.fetch_add(1, Ordering::Relaxed);
+    /// One WAL commit covered `appended` acknowledged writes; `synced` says
+    /// whether it ran an `fdatasync` (the fsync policy may not have asked).
+    pub fn record_wal_commit(&self, appended: u64, synced: bool) {
+        self.wal_appends.fetch_add(appended, Ordering::Relaxed);
+        self.wal_syncs
+            .fetch_add(u64::from(synced), Ordering::Relaxed);
     }
 
-    /// A WAL append (or truncate) failed; the write was still acknowledged
-    /// from memory, durability for it is degraded until the next snapshot.
-    pub fn record_wal_append_error(&self) {
-        self.wal_append_errors.fetch_add(1, Ordering::Relaxed);
+    /// `n` WAL writes failed (or the commit covering them, or a truncate);
+    /// the writes were still acknowledged from memory, durability for them
+    /// is degraded until the next snapshot.
+    pub fn record_wal_append_errors(&self, n: u64) {
+        self.wal_append_errors.fetch_add(n, Ordering::Relaxed);
     }
 
     /// `n` WAL ops were replayed into the cache at startup.
@@ -472,6 +478,10 @@ pub struct ServeStatsSnapshot {
     /// Acknowledged writes appended to the serve WAL.
     #[serde(default)]
     pub wal_appends: u64,
+    /// `fdatasync` calls the WAL's commits ran. `wal_appends / wal_syncs`
+    /// is the group-commit size: writes made durable per sync.
+    #[serde(default)]
+    pub wal_syncs: u64,
     /// WAL appends that failed (durability degraded until next snapshot).
     #[serde(default)]
     pub wal_append_errors: u64,
@@ -604,6 +614,7 @@ impl ServeStatsSnapshot {
             deadline_expired: metrics.deadline_expired.load(Ordering::Relaxed),
             panics_caught: metrics.panics_caught.load(Ordering::Relaxed),
             wal_appends: metrics.wal_appends.load(Ordering::Relaxed),
+            wal_syncs: metrics.wal_syncs.load(Ordering::Relaxed),
             wal_append_errors: metrics.wal_append_errors.load(Ordering::Relaxed),
             wal_replayed: metrics.wal_replayed.load(Ordering::Relaxed),
             idle_reaped: metrics.idle_reaped.load(Ordering::Relaxed),
@@ -717,6 +728,7 @@ impl ServeStatsSnapshot {
         gauge("serve_deadline_expired_total", self.deadline_expired as f64);
         gauge("serve_panics_caught_total", self.panics_caught as f64);
         gauge("serve_wal_appends_total", self.wal_appends as f64);
+        gauge("serve_wal_syncs_total", self.wal_syncs as f64);
         gauge(
             "serve_wal_append_errors_total",
             self.wal_append_errors as f64,

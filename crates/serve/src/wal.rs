@@ -3,15 +3,17 @@
 //! The batcher owns the cache in memory and only snapshots it on `Save` or
 //! graceful shutdown — a `kill -9` between snapshots would silently drop
 //! every acknowledged insert since the last one. The [`ServeWal`] closes
-//! that window: each `Insert`/`Flush` is appended (and fsynced per the
-//! configured [`FsyncPolicy`]) *before* its ticket resolves, so an
-//! acknowledged write survives a crash. On restart the server replays the
-//! WAL on top of the loaded snapshot, then truncates it once the next
-//! snapshot lands (the snapshot now covers everything the WAL held).
+//! that window: each `Insert`/`Flush`/`Invalidate` is staged as it executes
+//! and the batcher commits once per batch (one `fdatasync` for all of them
+//! under [`FsyncPolicy::Always`]) *before* any of the batch's tickets
+//! resolve, so an acknowledged write survives a crash. On restart the
+//! server replays the WAL on top of the loaded snapshot, then truncates it
+//! once the next snapshot lands (the snapshot now covers everything the WAL
+//! held).
 //!
 //! The on-disk format is the checksummed [`FramedLog`] from `mc-store`:
-//! torn tails self-truncate on open, so a crash mid-append loses at most
-//! the one un-synced record being written — never the log.
+//! torn tails self-truncate on open, so a crash before a commit returns
+//! loses only records nobody was told about — never the log.
 
 use std::path::{Path, PathBuf};
 
@@ -186,12 +188,12 @@ impl ServeWal {
         self.log.append(OP_INSERT, &payload)
     }
 
-    /// Appends one acknowledged tenant-scoped insert. Fsyncs per the open
-    /// policy.
+    /// Stages one tenant-scoped insert: written, not yet synced. Acknowledge
+    /// it only after the next [`ServeWal::commit`] returns.
     ///
     /// # Errors
-    /// [`StoreError::Io`] when the append or sync fails.
-    pub fn append_insert_for(
+    /// [`StoreError::Io`] when the write fails.
+    pub fn stage_insert(
         &mut self,
         tenant: &str,
         query: &str,
@@ -203,7 +205,7 @@ impl ServeWal {
         put_str(&mut payload, query);
         put_str(&mut payload, response);
         put_strs(&mut payload, context);
-        self.log.append(OP_TENANT_INSERT, &payload)
+        self.log.stage(OP_TENANT_INSERT, &payload)
     }
 
     /// Appends one acknowledged legacy (all-tenant) flush. Fsyncs per the
@@ -215,26 +217,35 @@ impl ServeWal {
         self.log.append(OP_FLUSH, &[])
     }
 
-    /// Appends one acknowledged tenant-scoped flush. Fsyncs per the open
-    /// policy.
+    /// Stages one tenant-scoped flush (see [`ServeWal::stage_insert`]).
     ///
     /// # Errors
-    /// [`StoreError::Io`] when the append or sync fails.
-    pub fn append_flush_for(&mut self, tenant: &str) -> Result<(), StoreError> {
+    /// [`StoreError::Io`] when the write fails.
+    pub fn stage_flush(&mut self, tenant: &str) -> Result<(), StoreError> {
         let mut payload = Vec::with_capacity(4 + tenant.len());
         put_str(&mut payload, tenant);
-        self.log.append(OP_TENANT_FLUSH, &payload)
+        self.log.stage(OP_TENANT_FLUSH, &payload)
     }
 
-    /// Appends one acknowledged epoch bump. Fsyncs per the open policy.
+    /// Stages one epoch bump (see [`ServeWal::stage_insert`]).
     ///
     /// # Errors
-    /// [`StoreError::Io`] when the append or sync fails.
-    pub fn append_invalidate(&mut self, tenant: &str, epoch: u64) -> Result<(), StoreError> {
+    /// [`StoreError::Io`] when the write fails.
+    pub fn stage_invalidate(&mut self, tenant: &str, epoch: u64) -> Result<(), StoreError> {
         let mut payload = Vec::with_capacity(12 + tenant.len());
         put_str(&mut payload, tenant);
         payload.extend_from_slice(&epoch.to_le_bytes());
-        self.log.append(OP_INVALIDATE, &payload)
+        self.log.stage(OP_INVALIDATE, &payload)
+    }
+
+    /// Applies the open policy to everything staged — the commit point the
+    /// staged records' acknowledgements wait for. Returns whether an
+    /// `fdatasync` ran ([`FramedLog::commit`]).
+    ///
+    /// # Errors
+    /// [`StoreError::Io`] when the sync fails.
+    pub fn commit(&mut self) -> Result<bool, StoreError> {
+        self.log.commit()
     }
 
     /// Truncates the WAL back to empty — called right after a snapshot
@@ -304,15 +315,14 @@ mod tests {
                 query,
                 response,
                 context,
-            } => wal
-                .append_insert_for(tenant, query, response, context)
-                .unwrap(),
+            } => wal.stage_insert(tenant, query, response, context).unwrap(),
             WalOp::Flush { tenant: None } => wal.append_flush().unwrap(),
             WalOp::Flush {
                 tenant: Some(tenant),
-            } => wal.append_flush_for(tenant).unwrap(),
-            WalOp::Invalidate { tenant, epoch } => wal.append_invalidate(tenant, *epoch).unwrap(),
+            } => wal.stage_flush(tenant).unwrap(),
+            WalOp::Invalidate { tenant, epoch } => wal.stage_invalidate(tenant, *epoch).unwrap(),
         }
+        wal.commit().unwrap();
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! so a SIGKILL at any moment may lose un-acked tail writes but never an
 //! acked one — and recovery must never load a corrupted entry.
 //!
+//! One writer never has two inserts in a batch, so a second cycle drives
+//! eight concurrent writer connections: there the batcher commits several
+//! records with one sync and the kill can land inside a multi-record commit.
+//!
 //! Iteration count comes from `CRASH_ITERS` (default 3 locally; CI runs
 //! 20). Each iteration prints a recovery report line that CI captures as
 //! an artifact.
@@ -75,6 +79,17 @@ fn spawn_serve(persist: &Path, extra_args: &[&str]) -> (Child, SocketAddr) {
     (child, addr)
 }
 
+/// SIGKILLs `child` from another thread after `delay_ms`, racing whatever
+/// load the caller drives meanwhile.
+fn kill_after(child: &Child, delay_ms: u64) -> std::thread::JoinHandle<()> {
+    // SIGKILL via the child handle is racy to share; signal by pid.
+    let pid = child.id();
+    std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(delay_ms));
+        let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
+    })
+}
+
 fn query_for(i: usize) -> String {
     format!("crash recovery topic number {i} with some distinct words")
 }
@@ -94,14 +109,7 @@ fn crash_cycle(iter: u32, kill_after_ms: u64) -> (usize, u64, u64) {
 
     // Killer fires mid-load; varying the delay per iteration moves the
     // kill point across the insert stream.
-    let killer = {
-        let pid = child.id();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(kill_after_ms));
-            // SIGKILL via the child handle is racy to share; signal by pid.
-            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
-        })
-    };
+    let killer = kill_after(&child, kill_after_ms);
 
     // Insert until the connection dies under us. Every Ok(_) is an
     // acknowledged write the restart must preserve.
@@ -173,6 +181,111 @@ fn sigkill_mid_load_loses_no_acknowledged_insert() {
     }
 }
 
+// ---- eight concurrent writers: real batches under the kill --------------------
+
+/// Writers of the concurrent cycle; with one insert outstanding each, the
+/// batcher's group commits cover up to this many records.
+const WRITERS: usize = 8;
+
+/// Writer `w`'s `i`-th insert, distinct across writers.
+fn writer_index(w: usize, i: usize) -> usize {
+    w * 100_000 + i
+}
+
+/// One concurrent crash cycle: [`WRITERS`] connections insert in closed
+/// loops until the SIGKILL takes the server away under them, so the kill
+/// lands between a multi-record commit's writes, inside its one sync, or
+/// between the sync and the acks. After the restart every insert any writer
+/// saw acknowledged must be present verbatim, and the WAL must have
+/// replayed at least that many records. Returns (acked, replayed).
+fn concurrent_crash_cycle(iter: u32, kill_after_ms: u64) -> (usize, u64) {
+    let dir = temp_dir(&format!("writers_iter{iter}"));
+    let persist = dir.join("cache.log");
+
+    let (mut child, addr) = spawn_serve(&persist, &[]);
+    let killer = kill_after(&child, kill_after_ms);
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            std::thread::spawn(move || {
+                let mut acked = 0usize;
+                let Ok(mut client) = Client::connect(addr) else {
+                    return acked; // killed before the connect completed
+                };
+                for i in 0..5_000 {
+                    let n = writer_index(w, i);
+                    match client.insert(&query_for(n), &response_for(n), &[]) {
+                        Ok(_) => acked = i + 1,
+                        Err(_) => break,
+                    }
+                }
+                acked
+            })
+        })
+        .collect();
+    let acked: Vec<usize> = writers
+        .into_iter()
+        .map(|w| w.join().expect("writer thread"))
+        .collect();
+    killer.join().expect("killer thread");
+    let status = child.wait().expect("reap killed serve");
+    assert!(
+        !status.success(),
+        "serve must have died from SIGKILL, not exited cleanly"
+    );
+
+    let (mut child, addr) = spawn_serve(&persist, &[]);
+    let mut client = Client::connect(addr).expect("connect after restart");
+    let stats = client.stats().expect("stats after restart");
+    let total: usize = acked.iter().sum();
+    assert!(
+        stats.wal_replayed >= total as u64,
+        "restart replayed {} WAL ops but {total} inserts were acknowledged",
+        stats.wal_replayed
+    );
+    for (w, &acked) in acked.iter().enumerate() {
+        let probes: Vec<(String, Vec<String>)> = (0..acked)
+            .map(|i| (query_for(writer_index(w, i)), Vec::new()))
+            .collect();
+        if probes.is_empty() {
+            continue;
+        }
+        let outcomes = client
+            .lookup_pipelined(&probes)
+            .expect("post-recovery lookups");
+        for (i, outcome) in outcomes.iter().enumerate() {
+            let hit = outcome.hit().unwrap_or_else(|| {
+                panic!("writer {w}: acked insert {i} lost after crash recovery")
+            });
+            assert_eq!(
+                hit.response,
+                response_for(writer_index(w, i)),
+                "writer {w}: acked insert {i} came back corrupted"
+            );
+        }
+    }
+    client.shutdown_server().expect("graceful shutdown");
+    let status = child.wait().expect("reap restarted serve");
+    assert!(status.success(), "restarted serve must shut down cleanly");
+    std::fs::remove_dir_all(&dir).ok();
+    (total, stats.wal_replayed)
+}
+
+#[test]
+fn sigkill_under_concurrent_writers_loses_no_acknowledged_insert() {
+    let iters: u32 = std::env::var("CRASH_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .map_or(2, |n: u32| n.div_ceil(4).max(2));
+    for iter in 0..iters {
+        let kill_after_ms = 40 + 35 * u64::from(iter % 5);
+        let (acked, replayed) = concurrent_crash_cycle(iter, kill_after_ms);
+        println!(
+            "recovery-report writers={WRITERS} iter={iter} kill_after_ms={kill_after_ms} \
+             acked={acked} wal_replayed={replayed}"
+        );
+    }
+}
+
 // ---- two concurrent tenants -------------------------------------------------
 
 const TENANT_FLAGS: &[&str] = &[
@@ -203,13 +316,7 @@ fn tenant_crash_cycle(iter: u32, kill_after_ms: u64) -> [usize; 2] {
     let persist = dir.join("cache.log");
 
     let (mut child, addr) = spawn_serve(&persist, TENANT_FLAGS);
-    let killer = {
-        let pid = child.id();
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(kill_after_ms));
-            let _ = Command::new("kill").args(["-9", &pid.to_string()]).status();
-        })
-    };
+    let killer = kill_after(&child, kill_after_ms);
 
     // Two insert loops race the killer on separate connections.
     let writers: Vec<_> = TENANTS

@@ -689,7 +689,7 @@ mod tests {
             },
         );
         assert!(matches!(store.remove(1), Err(StoreError::Io(_))));
-        failpoints::clear("wal.append");
+        failpoints::clear_scoped("wal.append", &tag);
         // The entry is still present and removable once writes work again.
         assert!(store.get(1).is_some());
         assert!(store.remove(1).is_ok());
@@ -716,7 +716,7 @@ mod tests {
             write_compacted_log(&path, after.iter()),
             Err(StoreError::Io(_))
         ));
-        failpoints::clear("wal.sync");
+        failpoints::clear_scoped("wal.sync", &tag);
         let store = DiskStore::open(&path).unwrap();
         assert_eq!(store.iter().cloned().collect::<Vec<_>>(), before);
         drop(store);

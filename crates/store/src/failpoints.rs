@@ -11,7 +11,9 @@
 //! * short writes (`FailAction::ShortWrite`),
 //! * transient `EINTR` / `EAGAIN` (`FailAction::Eintr` /
 //!   `FailAction::Eagain`),
-//! * artificial latency (`FailAction::Delay`).
+//! * artificial latency (`FailAction::Delay`),
+//! * a call parked until the test lets it go (`FailAction::Hold`), which
+//!   forces an interleaving without a sleep.
 //!
 //! (`FailAction` only exists when the feature is on, so the list above
 //! deliberately avoids intra-doc links.)
@@ -40,15 +42,23 @@ pub enum FailAction {
     Eagain { times: u64 },
     /// Every call sleeps for `micros` before proceeding normally.
     Delay { micros: u64 },
+    /// Every call blocks until this arming is replaced (`set*` on the same
+    /// point and tag) or cleared, then proceeds normally. Watch `hits` to
+    /// learn that a caller has arrived.
+    Hold,
 }
 
 #[cfg(any(test, feature = "failpoints"))]
 mod active {
     use super::FailAction;
     use std::io::{Error, ErrorKind};
-    use std::sync::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::{Condvar, Mutex};
 
     struct FailPoint {
+        /// Identifies this arming, so a caller parked by `Hold` can tell
+        /// "my arming is gone" from "the point was re-armed".
+        id: u64,
         point: String,
         /// When set, only calls whose tag contains this substring match.
         tag: Option<String>,
@@ -57,7 +67,16 @@ mod active {
         eintr_left: u64,
     }
 
+    impl FailPoint {
+        fn matches(&self, point: &str, tag: &str) -> bool {
+            self.point == point && self.tag.as_deref().is_none_or(|t| tag.contains(t))
+        }
+    }
+
     static REGISTRY: Mutex<Vec<FailPoint>> = Mutex::new(Vec::new());
+    static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+    /// Signalled whenever an arming leaves the registry.
+    static DISARMED: Condvar = Condvar::new();
 
     fn registry() -> std::sync::MutexGuard<'static, Vec<FailPoint>> {
         REGISTRY.lock().unwrap_or_else(|p| p.into_inner())
@@ -81,29 +100,40 @@ mod active {
         let mut reg = registry();
         reg.retain(|fp| fp.point != point || fp.tag != tag);
         reg.push(FailPoint {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             point: point.to_string(),
             tag,
             action,
             calls: 0,
             eintr_left: transient,
         });
+        DISARMED.notify_all();
     }
 
     /// Disarms every action on `point` (all tags).
     pub fn clear(point: &str) {
         registry().retain(|fp| fp.point != point);
+        DISARMED.notify_all();
+    }
+
+    /// Disarms what [`set_scoped`] armed on `point` for exactly `tag`,
+    /// leaving other tests' armings of the same point alone.
+    pub fn clear_scoped(point: &str, tag: &str) {
+        registry().retain(|fp| fp.point != point || fp.tag.as_deref() != Some(tag));
+        DISARMED.notify_all();
     }
 
     /// Disarms everything.
     pub fn reset_all() {
         registry().clear();
+        DISARMED.notify_all();
     }
 
-    /// How many calls have matched the armed action on `point` (any tag).
-    pub fn hits(point: &str) -> u64 {
+    /// How many calls tagged `tag` have matched an action armed on `point`.
+    pub fn hits(point: &str, tag: &str) -> u64 {
         registry()
             .iter()
-            .filter(|fp| fp.point == point)
+            .filter(|fp| fp.matches(point, tag))
             .map(|fp| fp.calls)
             .sum()
     }
@@ -115,11 +145,16 @@ mod active {
         let mut delay_micros = None;
         let decision = {
             let mut reg = registry();
-            let fp = reg.iter_mut().find(|fp| {
-                fp.point == point && fp.tag.as_deref().is_none_or(|t| tag.contains(t))
-            })?;
+            let fp = reg.iter_mut().find(|fp| fp.matches(point, tag))?;
             fp.calls += 1;
             match fp.action {
+                FailAction::Hold => {
+                    let id = fp.id;
+                    while reg.iter().any(|fp| fp.id == id) {
+                        reg = DISARMED.wait(reg).unwrap_or_else(|p| p.into_inner());
+                    }
+                    None
+                }
                 FailAction::ErrorOnNth { n, kind } => {
                     if fp.calls == n {
                         Some(Err(Error::new(
@@ -167,7 +202,7 @@ mod active {
 }
 
 #[cfg(any(test, feature = "failpoints"))]
-pub use active::{clear, hits, reset_all, set, set_scoped, write_hook};
+pub use active::{clear, clear_scoped, hits, reset_all, set, set_scoped, write_hook};
 
 /// Inert hook for builds without fault injection: always proceed.
 #[cfg(not(any(test, feature = "failpoints")))]
@@ -209,8 +244,31 @@ mod tests {
         );
         assert!(matches!(write_hook("test.eintr", "t1", 5), Some(Err(_))));
         assert!(write_hook("test.eintr", "t1", 5).is_none());
-        assert_eq!(hits("test.eintr"), 3);
+        assert_eq!(hits("test.eintr", "t1"), 3);
         clear("test.eintr");
+    }
+
+    #[test]
+    fn hold_parks_the_caller_until_its_arming_is_replaced_or_cleared() {
+        set_scoped("test.hold", "t3", FailAction::Hold);
+        let caller = std::thread::spawn(|| write_hook("test.hold", "t3", 0).is_none());
+        while hits("test.hold", "t3") == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!caller.is_finished(), "the call is parked");
+        // Re-arming releases the parked call and parks the next one.
+        set_scoped("test.hold", "t3", FailAction::Hold);
+        assert!(caller.join().unwrap());
+        let next = std::thread::spawn(|| write_hook("test.hold", "t3", 0).is_none());
+        while hits("test.hold", "t3") == 0 {
+            std::thread::yield_now();
+        }
+        assert!(!next.is_finished());
+        // A neighbour's scoped clear leaves this arming alone; ours frees it.
+        clear_scoped("test.hold", "someone else");
+        assert!(!next.is_finished());
+        clear_scoped("test.hold", "t3");
+        assert!(next.join().unwrap());
     }
 
     #[test]

@@ -18,12 +18,18 @@
 //!   the file back to it, and reports what it dropped in
 //!   [`RecoveryStats`]. Replay never panics and never yields a record whose
 //!   checksum does not match.
-//! * **Configurable durability.** [`FsyncPolicy`] decides when appends are
-//!   forced to stable storage: `Always` (fdatasync per record — an
-//!   acknowledged append survives SIGKILL and power loss), `EveryN`
+//! * **Configurable durability, applied per commit.** Writing a record
+//!   ([`FramedLog::stage`]) and forcing it to stable storage
+//!   ([`FramedLog::commit`]) are separate steps, so a caller holding several
+//!   records pays one `fdatasync` for all of them; [`FramedLog::append`] is
+//!   the two back to back. [`FsyncPolicy`] decides what a commit does:
+//!   `Always` (one fdatasync covering everything staged — a record whose
+//!   commit returned survives SIGKILL and power loss), `EveryN`
 //!   (bounded-loss batching), or `Never` (OS page cache only; survives
-//!   process crash but not power loss). See `docs/ARCHITECTURE.md`
-//!   ("Failure semantics").
+//!   process crash but not power loss). The durability promise attaches to
+//!   the commit: acknowledge a record only after the commit that follows
+//!   its stage has returned. See `docs/ARCHITECTURE.md` ("Failure
+//!   semantics").
 
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Read, Write};
@@ -46,18 +52,20 @@ const FRAME_HEADER: usize = 8;
 /// garbage length field.
 pub const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 
-/// When appends are forced to stable storage.
+/// What a [`FramedLog::commit`] does with the records staged before it.
 ///
 /// `Never` matches the historical behaviour (write into the OS page cache,
 /// no fsync) and costs nothing on the hot path; `Always` makes every
-/// acknowledged append durable against power loss at the price of an
-/// `fdatasync` per record; `EveryN(n)` syncs after every `n`-th append,
-/// bounding loss to at most `n - 1` acknowledged records.
+/// committed record durable against power loss at the price of one
+/// `fdatasync` per commit — per record for [`FramedLog::append`], per batch
+/// for a caller that stages several records first; `EveryN(n)` syncs at the
+/// first commit with `n` or more unsynced records behind it, bounding loss
+/// to at most `n - 1` committed records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum FsyncPolicy {
-    /// `fdatasync` after every append.
+    /// `fdatasync` at every commit that has a record staged.
     Always,
-    /// `fdatasync` after every `n`-th append (`n >= 1`).
+    /// `fdatasync` at a commit once `n` records are unsynced (`n >= 1`).
     EveryN(u32),
     /// Never fsync; rely on the OS flushing the page cache.
     #[default]
@@ -191,6 +199,8 @@ pub struct FramedLog {
     path: PathBuf,
     file: File,
     policy: FsyncPolicy,
+    /// Records staged since the last sync. Not counted under
+    /// [`FsyncPolicy::Never`], where nothing would ever reset it.
     unsynced_appends: u32,
     /// Failpoint scope tag (the log's path), so tests can target one log
     /// without perturbing every other open log in the process.
@@ -312,27 +322,54 @@ impl FramedLog {
         self.policy
     }
 
-    /// Appends one checksummed record, fsyncing per the configured policy.
+    /// Appends one checksummed record, fsyncing per the configured policy:
+    /// [`FramedLog::stage`] then [`FramedLog::commit`].
     ///
     /// # Errors
-    /// Returns [`StoreError::Io`] on write failure. A failed append may
-    /// leave a torn record at the tail; the next [`FramedLog::open`]
+    /// Returns [`StoreError::Io`] on write or sync failure. A failed append
+    /// may leave a torn record at the tail; the next [`FramedLog::open`]
     /// truncates it.
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<()> {
+        self.stage(kind, payload)?;
+        self.commit().map(|_| ())
+    }
+
+    /// Writes one checksummed record to the file without syncing it. The
+    /// record is durable — and may be acknowledged — only once a later
+    /// [`FramedLog::commit`] has returned.
+    ///
+    /// # Errors
+    /// Returns [`StoreError::Io`] on write failure. A failed write may
+    /// leave a torn record at the tail; the next [`FramedLog::open`]
+    /// truncates it.
+    pub fn stage(&mut self, kind: u8, payload: &[u8]) -> Result<()> {
         let mut frame = Vec::with_capacity(FRAME_HEADER + 1 + payload.len());
         frame_record(&mut frame, kind, payload);
         self.write_frame(&frame)?;
-        match self.policy {
-            FsyncPolicy::Always => self.sync()?,
-            FsyncPolicy::EveryN(n) => {
-                self.unsynced_appends += 1;
-                if self.unsynced_appends >= n {
-                    self.sync()?;
-                }
-            }
-            FsyncPolicy::Never => {}
+        if self.policy != FsyncPolicy::Never {
+            self.unsynced_appends += 1;
         }
         Ok(())
+    }
+
+    /// Applies the fsync policy to every record staged so far — the one
+    /// sync a batch of records shares. Returns whether an `fdatasync` ran:
+    /// under `Always` when anything is staged, under `EveryN(n)` once `n`
+    /// records are unsynced, under `Never` never.
+    ///
+    /// # Errors
+    /// Returns [`StoreError::Io`] when the sync fails. The staged records
+    /// stay written and counted, so the next commit retries the sync.
+    pub fn commit(&mut self) -> Result<bool> {
+        let due = match self.policy {
+            FsyncPolicy::Always => self.unsynced_appends > 0,
+            FsyncPolicy::EveryN(n) => self.unsynced_appends >= n,
+            FsyncPolicy::Never => false,
+        };
+        if due {
+            self.sync()?;
+        }
+        Ok(due)
     }
 
     /// Forces all appended records to stable storage (`fdatasync`).
@@ -774,7 +811,7 @@ mod tests {
         );
         log.append(1, b"ok").unwrap();
         assert!(log.append(1, b"fails").is_err());
-        failpoints::clear("wal.append");
+        failpoints::clear_scoped("wal.append", &tag);
         log.append(1, b"ok again").unwrap();
         drop(log);
         // The failed append may have torn the tail; recovery must cope.
@@ -782,6 +819,120 @@ mod tests {
         assert!(records.iter().any(|r| &r.payload[..] == b"ok"));
         assert!(records.iter().any(|r| &r.payload[..] == b"ok again"));
         assert!(!records.iter().any(|r| &r.payload[..] == b"fails"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn append_is_stage_plus_commit_byte_for_byte() {
+        let records: [(u8, &[u8]); 3] = [(1, b"first"), (4, b""), (5, &[0xff; 300])];
+        for policy in [
+            FsyncPolicy::Always,
+            FsyncPolicy::EveryN(2),
+            FsyncPolicy::Never,
+        ] {
+            let appended = temp_path("appended");
+            let staged = temp_path("staged");
+            {
+                let (mut log, _, _) = FramedLog::open(&appended, policy).unwrap();
+                for (kind, payload) in records {
+                    log.append(kind, payload).unwrap();
+                }
+                let (mut log, _, _) = FramedLog::open(&staged, policy).unwrap();
+                for (kind, payload) in records {
+                    log.stage(kind, payload).unwrap();
+                }
+                log.commit().unwrap();
+            }
+            assert_eq!(
+                std::fs::read(&appended).unwrap(),
+                std::fs::read(&staged).unwrap(),
+                "{policy}"
+            );
+            std::fs::remove_file(&appended).ok();
+            std::fs::remove_file(&staged).ok();
+        }
+    }
+
+    #[test]
+    fn commit_applies_the_policy_to_everything_staged() {
+        // Always: one sync covers the whole batch, and an empty commit is free.
+        let path = temp_path("commit_always");
+        let tag = path.display().to_string();
+        let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::Always).unwrap();
+        // A zero delay injects nothing; it only counts the syncs.
+        failpoints::set_scoped(
+            "wal.sync",
+            &tag,
+            failpoints::FailAction::Delay { micros: 0 },
+        );
+        for i in 0..5u8 {
+            log.stage(1, &[i]).unwrap();
+        }
+        assert!(log.commit().unwrap());
+        assert!(!log.commit().unwrap(), "nothing staged, nothing to sync");
+        assert_eq!(failpoints::hits("wal.sync", &tag), 1);
+        failpoints::clear_scoped("wal.sync", &tag);
+        std::fs::remove_file(&path).ok();
+
+        // EveryN(4): whatever the batch sizes, no commit point leaves four
+        // records that a caller may have acknowledged but no sync covers.
+        let path = temp_path("commit_every_n");
+        let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::EveryN(4)).unwrap();
+        let mut synced = Vec::new();
+        for batch in [1, 1, 1, 1, 3, 2, 6, 1, 2, 4, 3] {
+            for _ in 0..batch {
+                log.stage(1, b"r").unwrap();
+            }
+            synced.push(log.commit().unwrap());
+            assert!(log.unsynced_appends < 4, "after a batch of {batch}");
+        }
+        assert_eq!(
+            synced,
+            [false, false, false, true, false, true, true, false, false, true, false]
+        );
+        std::fs::remove_file(&path).ok();
+
+        // Never: commits do nothing and the counter has nothing to count.
+        let path = temp_path("commit_never");
+        let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::Never).unwrap();
+        for _ in 0..10 {
+            log.stage(1, b"r").unwrap();
+        }
+        assert!(!log.commit().unwrap());
+        assert_eq!(log.unsynced_appends, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn failed_commit_keeps_the_records_and_the_next_commit_retries() {
+        let path = temp_path("commit_fails");
+        let tag = path.display().to_string();
+        let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::Always).unwrap();
+        failpoints::set_scoped(
+            "wal.sync",
+            &tag,
+            failpoints::FailAction::ErrorOnNth {
+                n: 1,
+                kind: ErrorKind::Other,
+            },
+        );
+        for i in 0..3u8 {
+            log.stage(1, &[i]).unwrap();
+        }
+        assert!(matches!(log.commit(), Err(StoreError::Io(_))));
+        // The records were written whole: the log replays them as it stands.
+        let (records, torn) = read_records_from(&path, MAGIC.len() as u64).unwrap();
+        assert_eq!((records.len(), torn), (3, 0));
+        // The failed sync still owes those three; the next commit pays.
+        log.stage(1, &[3]).unwrap();
+        assert!(log.commit().unwrap());
+        assert_eq!(failpoints::hits("wal.sync", &tag), 2);
+        assert_eq!(log.unsynced_appends, 0);
+        failpoints::clear_scoped("wal.sync", &tag);
+        drop(log);
+        let (_, records, stats) = FramedLog::open(&path, FsyncPolicy::Never).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(stats.bytes_truncated, 0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -808,7 +959,7 @@ mod tests {
             failpoints::FailAction::Eagain { times: 2 },
         );
         log.append(9, b"eagain retried").unwrap();
-        failpoints::clear("wal.append");
+        failpoints::clear_scoped("wal.append", &tag);
         drop(log);
         let (_, records, stats) = FramedLog::open(&path, FsyncPolicy::Never).unwrap();
         assert_eq!(stats.records_replayed, 3);
