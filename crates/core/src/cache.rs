@@ -239,6 +239,7 @@ pub(crate) struct ScatterProbe {
 }
 
 /// The probe's conversational context, analysed once per lookup.
+#[cfg_attr(test, derive(Clone))]
 enum ProbeContext {
     /// The probe carries no conversation history.
     Standalone,
@@ -551,12 +552,8 @@ impl MeanCache {
         candidates: Vec<mc_store::SearchHit>,
         context: &[String],
     ) -> CacheDecisionOutcome {
-        let probe_context = if self.config.context_checking {
-            Some(self.probe_context(context))
-        } else {
-            None
-        };
-        let (outcome, rejected_by_context) = self.decide_from(candidates, probe_context.as_ref());
+        let (outcome, rejected_by_context) =
+            self.decide_from(candidates, || self.probe_context(context));
         if outcome.is_hit() {
             AtomicCacheStats::bump(&self.stats.hits, 1);
         } else if rejected_by_context {
@@ -568,17 +565,24 @@ impl MeanCache {
     /// The statistics-free core of [`MeanCache::decide`]: context-verifies
     /// `candidates` in score order and returns the first match, plus
     /// whether any candidate was rejected by context verification.
+    ///
+    /// `probe_context` costs an encode and a second index scan, and only a
+    /// candidate ever reads it: it is built when the first candidate needs
+    /// it (never, with context checking off), so a lookup with nothing above
+    /// τ — every cold miss — does not pay for it.
     fn decide_from(
         &self,
         candidates: Vec<mc_store::SearchHit>,
-        probe_context: Option<&ProbeContext>,
+        probe_context: impl Fn() -> ProbeContext,
     ) -> (CacheDecisionOutcome, bool) {
+        let built = std::cell::OnceCell::new();
+        let probe_context = || self.config.context_checking.then(&probe_context);
         let mut rejected_by_context = false;
         for candidate in candidates {
             let Some(entry) = self.store.get(candidate.id) else {
                 continue;
             };
-            let context_ok = match probe_context {
+            let context_ok = match built.get_or_init(&probe_context) {
                 Some(probe) => self.context_matches(entry, probe),
                 None => true,
             };
@@ -619,11 +623,8 @@ impl MeanCache {
                     }
                 }
             };
-        let probe_context = self
-            .config
-            .context_checking
-            .then(|| self.probe_context_from(context_embedding));
-        let (outcome, rejected_by_context) = self.decide_from(candidates, probe_context.as_ref());
+        let (outcome, rejected_by_context) =
+            self.decide_from(candidates, || self.probe_context_from(context_embedding));
         ScatterProbe {
             outcome,
             rejected_by_context,
@@ -657,12 +658,8 @@ impl MeanCache {
             .into_iter()
             .zip(probes)
             .map(|(candidates, (_, context_embedding))| {
-                let probe_context = self
-                    .config
-                    .context_checking
-                    .then(|| self.probe_context_from(*context_embedding));
                 let (outcome, rejected_by_context) =
-                    self.decide_from(candidates, probe_context.as_ref());
+                    self.decide_from(candidates, || self.probe_context_from(*context_embedding));
                 ScatterProbe {
                     outcome,
                     rejected_by_context,
@@ -908,6 +905,78 @@ mod tests {
         // Standalone probe of a contextual entry must also miss.
         let standalone_probe = cache.lookup("change the color to red", &[]);
         assert!(standalone_probe.is_miss());
+    }
+
+    /// The probe context is built by the first candidate that needs it, not
+    /// up front. Every decision and every `context_rejections` count must be
+    /// what the eager construction gave, with and without a memo in front of
+    /// the encoder; and a lookup with nothing above τ must not encode its
+    /// context turn at all.
+    #[test]
+    fn lazy_probe_context_changes_no_decision() {
+        let line_plot = vec!["draw a line plot in python".to_string()];
+        let circle = vec!["draw a circle".to_string()];
+        let unseen_turn = vec!["an earlier turn nobody cached".to_string()];
+        let battery = "how can I increase the battery life of my phone";
+        // (query, context, served, a candidate was rejected by context)
+        let probes: [(&str, &[String], bool, bool); 6] = [
+            ("change the color to red", &line_plot, true, false),
+            ("change the color to red", &circle, false, true),
+            ("change the color to red", &[], false, true),
+            (battery, &[], true, false),
+            (battery, &line_plot, false, true),
+            (
+                "what is the capital city of portugal",
+                &unseen_turn,
+                false,
+                false,
+            ),
+        ];
+        for with_memo in [false, true] {
+            let mut cache = cache_with_threshold(0.6);
+            let memo = with_memo.then(|| Arc::new(EmbeddingMemo::new(64, 1 << 20)));
+            cache.set_embedding_memo(memo.clone());
+            cache
+                .insert("draw a line plot in python", "Use plt.plot(xs, ys).", &[])
+                .unwrap();
+            cache
+                .insert("change the color to red", "Pass color='red'.", &line_plot)
+                .unwrap();
+            cache
+                .insert(
+                    "how can I increase the battery life of my smartphone",
+                    "Lower the screen brightness.",
+                    &[],
+                )
+                .unwrap();
+
+            for (query, context, served, rejected) in probes {
+                let candidates = cache
+                    .index
+                    .search(cache.embed(query).as_slice(), 5, 0.6)
+                    .unwrap();
+                let built_up_front = cache.probe_context(context);
+                let eager = cache.decide_from(candidates.clone(), || built_up_front.clone());
+                let lazy = cache.decide_from(candidates, || cache.probe_context(context));
+                assert_eq!(lazy, eager, "memo={with_memo} {query:?} {context:?}");
+                assert_eq!((lazy.0.is_hit(), lazy.1), (served, rejected), "{query:?}");
+
+                let before = cache.stats();
+                let consulted = || memo.as_ref().map(|m| m.stats().hits + m.stats().misses);
+                let consulted_before = consulted();
+                assert_eq!(cache.probe(query, context), lazy.0);
+                let after = cache.stats();
+                assert_eq!(after.hits - before.hits, served as u64);
+                assert_eq!(
+                    after.context_rejections - before.context_rejections,
+                    rejected as u64
+                );
+                if context == unseen_turn.as_slice() {
+                    // No candidate: only the query reached the encoder.
+                    assert_eq!(consulted(), consulted_before.map(|n| n + 1));
+                }
+            }
+        }
     }
 
     #[test]

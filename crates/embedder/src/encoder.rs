@@ -40,9 +40,7 @@ pub struct QueryEncoder {
 pub struct EncoderForward {
     /// Hashed features of the query.
     pub features: HashedFeatures,
-    /// Mean-pooled table rows (MLP input).
-    pub pooled: Vec<f32>,
-    /// Cached MLP activations.
+    /// Cached MLP activations (they hold the mean-pooled MLP input too).
     pub mlp_forward: MlpForward,
 }
 
@@ -228,12 +226,18 @@ impl QueryEncoder {
     /// # Errors
     /// Propagates MLP shape errors (which indicate construction bugs).
     pub fn forward(&self, text: &str) -> Result<EncoderForward> {
-        let features = self.features(text);
-        let pooled = self.pool(&features);
-        let mlp_forward = self.mlp.forward(&pooled)?;
+        self.forward_features(self.features(text))
+    }
+
+    /// [`QueryEncoder::forward`] from features hashed earlier — a training
+    /// run hashes each text once, not once per epoch.
+    ///
+    /// # Errors
+    /// Propagates MLP shape errors (which indicate construction bugs).
+    pub fn forward_features(&self, features: HashedFeatures) -> Result<EncoderForward> {
+        let mlp_forward = self.mlp.forward(&self.pool(&features))?;
         Ok(EncoderForward {
             features,
-            pooled,
             mlp_forward,
         })
     }
@@ -241,8 +245,7 @@ impl QueryEncoder {
     /// Raw (uncompressed, unnormalised) embedding — the representation the
     /// training losses operate on.
     pub fn encode_raw(&self, text: &str) -> Vector {
-        let features = self.features(text);
-        let pooled = self.pool(&features);
+        let pooled = self.pool(&self.features(text));
         let out = self
             .mlp
             .infer(&pooled)
@@ -254,14 +257,15 @@ impl QueryEncoder {
     /// L2-normalised — the vector stored in and searched by the cache.
     pub fn encode(&self, text: &str) -> Vector {
         let raw = self.encode_raw(text);
-        let projected = match &self.pca {
+        let mut projected = match &self.pca {
             Some(pca) => Vector::from_vec(
                 pca.transform(raw.as_slice())
                     .expect("pca dimensions checked at attach time"),
             ),
             None => raw,
         };
-        projected.normalized()
+        projected.normalize_in_place();
+        projected
     }
 
     /// Cosine similarity between two queries under the deployment embedding.

@@ -180,9 +180,14 @@ impl ModelProfile {
         table + mlp
     }
 
-    /// Approximate multiply-accumulate operations to encode one query
-    /// (dominated by the MLP; the sparse pooling contributes one row-add per
-    /// active feature which we approximate by 64 features).
+    /// Approximate multiply-accumulate operations to encode one query: the
+    /// MLP plus one pooled row-add per active feature, approximated by 64
+    /// features. A count of arithmetic for ranking profiles against each
+    /// other (Figure 15), not a predictor of encode time: on the compact
+    /// Albert profile these 24k operations take about 5 µs of a 7.7 µs
+    /// encode, and hashing the query's features — no multiply-accumulate at
+    /// all — takes the other 2 µs (`docs/ARCHITECTURE.md`, "Kernels and
+    /// dispatch", has the budget).
     pub fn encode_flops(&self) -> usize {
         let dims = self.mlp_dims();
         let mlp: usize = dims.windows(2).map(|w| w[0] * w[1]).sum();

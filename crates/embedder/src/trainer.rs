@@ -12,12 +12,15 @@
 //! The same trainer is used standalone (centralised training baselines) and
 //! inside `mc-fl`'s clients.
 
+use std::collections::HashMap;
+
 use mc_nn::loss::MultitaskWeights;
 use mc_nn::{contrastive_loss_with_grad, mnr_loss_with_grad, Adam};
-use mc_tensor::{rng, Matrix};
-use mc_text::{PairDataset, QueryPair};
+use mc_tensor::{rng, vector, Matrix};
+use mc_text::{HashedFeatures, PairDataset};
 use serde::{Deserialize, Serialize};
 
+use crate::encoder::EncoderForward;
 use crate::{QueryEncoder, Result};
 
 /// Hyper-parameters of the local training loop. These mirror the knobs the
@@ -116,6 +119,43 @@ impl TrainingStats {
     }
 }
 
+/// One labelled pair of a mini-batch: the two queries' hashed features and
+/// whether they are duplicates.
+type BatchPair<'a> = (&'a HashedFeatures, &'a HashedFeatures, bool);
+
+/// The hashed features of a dataset's queries, each distinct text hashed
+/// once. Hashing depends only on the text (never on the weights training
+/// changes), so one pass serves every epoch; the pair generator draws its
+/// queries from a bank, so most texts also recur across pairs.
+struct PairFeatures {
+    distinct: Vec<HashedFeatures>,
+    /// Per pair, the `distinct` slots of `query_a` and `query_b`.
+    slots: Vec<(usize, usize)>,
+}
+
+impl PairFeatures {
+    fn hash(encoder: &QueryEncoder, dataset: &PairDataset) -> Self {
+        let mut distinct = Vec::new();
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
+        let mut slots = Vec::with_capacity(dataset.len());
+        for pair in &dataset.pairs {
+            let [a, b] = [&pair.query_a, &pair.query_b].map(|text| {
+                *slot_of.entry(text.as_str()).or_insert_with(|| {
+                    distinct.push(encoder.features(text));
+                    distinct.len() - 1
+                })
+            });
+            slots.push((a, b));
+        }
+        Self { distinct, slots }
+    }
+
+    fn of_pair(&self, i: usize) -> (&HashedFeatures, &HashedFeatures) {
+        let (a, b) = self.slots[i];
+        (&self.distinct[a], &self.distinct[b])
+    }
+}
+
 /// Runs the multitask training loop against a [`QueryEncoder`].
 #[derive(Debug, Clone)]
 pub struct LocalTrainer {
@@ -154,6 +194,7 @@ impl LocalTrainer {
         let mut optimizer =
             Adam::new(self.config.learning_rate).map_err(crate::EmbedderError::from)?;
         let mut shuffle_rng = rng::seeded(self.config.seed);
+        let features = PairFeatures::hash(encoder, dataset);
 
         for _epoch in 0..self.config.epochs.max(1) {
             let order = rng::permutation(dataset.len(), &mut shuffle_rng);
@@ -163,7 +204,13 @@ impl LocalTrainer {
             let mut batches = 0usize;
 
             for chunk in order.chunks(self.config.batch_size.max(1)) {
-                let batch: Vec<&QueryPair> = chunk.iter().map(|&i| &dataset.pairs[i]).collect();
+                let batch: Vec<BatchPair<'_>> = chunk
+                    .iter()
+                    .map(|&i| {
+                        let (a, b) = features.of_pair(i);
+                        (a, b, dataset.pairs[i].is_duplicate)
+                    })
+                    .collect();
                 let (loss, c_loss, m_loss) =
                     self.train_batch(encoder, &batch, &weights, &mut optimizer)?;
                 epoch_loss += loss;
@@ -184,7 +231,7 @@ impl LocalTrainer {
     fn train_batch(
         &self,
         encoder: &mut QueryEncoder,
-        batch: &[&QueryPair],
+        batch: &[BatchPair<'_>],
         weights: &MultitaskWeights,
         optimizer: &mut Adam,
     ) -> Result<(f32, f32, f32)> {
@@ -198,26 +245,26 @@ impl LocalTrainer {
         // Forward passes are cached so the MNR term can reuse them.
         let forwards: Vec<_> = batch
             .iter()
-            .map(|p| {
-                let fa = encoder.forward(&p.query_a)?;
-                let fb = encoder.forward(&p.query_b)?;
+            .map(|&(a, b, _)| {
+                let fa = encoder.forward_features(a.clone())?;
+                let fb = encoder.forward_features(b.clone())?;
                 Ok((fa, fb))
             })
             .collect::<Result<Vec<_>>>()?;
 
         // Contrastive term over every pair.
         if weights.contrastive > 0.0 {
-            for (pair, (fa, fb)) in batch.iter().zip(&forwards) {
-                let (loss, ga, gb) = contrastive_loss_with_grad(
+            let scale = weights.contrastive / batch.len() as f32;
+            for (&(_, _, is_duplicate), (fa, fb)) in batch.iter().zip(&forwards) {
+                let (loss, mut ga, mut gb) = contrastive_loss_with_grad(
                     fa.output(),
                     fb.output(),
-                    pair.is_duplicate,
+                    is_duplicate,
                     weights.margin,
                 );
                 contrastive_total += loss;
-                let scale = weights.contrastive / batch.len() as f32;
-                let ga: Vec<f32> = ga.iter().map(|g| g * scale).collect();
-                let gb: Vec<f32> = gb.iter().map(|g| g * scale).collect();
+                vector::scale(scale, &mut ga);
+                vector::scale(scale, &mut gb);
                 encoder.backward(fa, &ga, &mut grad)?;
                 encoder.backward(fb, &gb, &mut grad)?;
             }
@@ -226,37 +273,28 @@ impl LocalTrainer {
 
         // MNR term over the duplicate pairs of the batch (needs >= 2 pairs so
         // there is at least one in-batch negative).
-        let dup_indices: Vec<usize> = batch
+        let duplicates: Vec<&(EncoderForward, EncoderForward)> = batch
             .iter()
-            .enumerate()
-            .filter(|(_, p)| p.is_duplicate)
-            .map(|(i, _)| i)
+            .zip(&forwards)
+            .filter(|((_, _, is_duplicate), _)| *is_duplicate)
+            .map(|(_, pair)| pair)
             .collect();
-        if weights.mnr > 0.0 && dup_indices.len() >= 2 {
-            let anchors = Matrix::from_rows(
-                &dup_indices
-                    .iter()
-                    .map(|&i| forwards[i].0.output().to_vec())
-                    .collect::<Vec<_>>(),
-            )?;
-            let positives = Matrix::from_rows(
-                &dup_indices
-                    .iter()
-                    .map(|&i| forwards[i].1.output().to_vec())
-                    .collect::<Vec<_>>(),
-            )?;
-            let (loss, d_anchors, d_positives) =
+        if weights.mnr > 0.0 && duplicates.len() >= 2 {
+            let stack = |side: fn(&(EncoderForward, EncoderForward)) -> &EncoderForward| {
+                let outputs = duplicates.iter().flat_map(|pair| side(pair).output());
+                let flat: Vec<f32> = outputs.copied().collect();
+                Matrix::from_vec(duplicates.len(), encoder.raw_output_dim(), flat)
+            };
+            let anchors = stack(|pair| &pair.0)?;
+            let positives = stack(|pair| &pair.1)?;
+            let (loss, mut d_anchors, mut d_positives) =
                 mnr_loss_with_grad(&anchors, &positives, weights.mnr_scale)?;
             mnr_total = loss;
-            for (row, &i) in dup_indices.iter().enumerate() {
-                let ga: Vec<f32> = d_anchors.row(row).iter().map(|g| g * weights.mnr).collect();
-                let gb: Vec<f32> = d_positives
-                    .row(row)
-                    .iter()
-                    .map(|g| g * weights.mnr)
-                    .collect();
-                encoder.backward(&forwards[i].0, &ga, &mut grad)?;
-                encoder.backward(&forwards[i].1, &gb, &mut grad)?;
+            d_anchors.scale(weights.mnr);
+            d_positives.scale(weights.mnr);
+            for (row, (fa, fb)) in duplicates.iter().enumerate() {
+                encoder.backward(fa, d_anchors.row(row), &mut grad)?;
+                encoder.backward(fb, d_positives.row(row), &mut grad)?;
             }
         }
 
@@ -357,6 +395,48 @@ mod tests {
         assert!(
             after > before,
             "duplicate/non-duplicate separation must improve: before={before} after={after}"
+        );
+    }
+
+    /// FNV-1a over the little-endian bits of every parameter.
+    fn parameter_checksum(encoder: &QueryEncoder) -> u64 {
+        let mut hash: u64 = 0xcbf29ce484222325;
+        for x in encoder.parameters().as_slice() {
+            for byte in x.to_bits().to_le_bytes() {
+                hash = (hash ^ byte as u64).wrapping_mul(0x100000001b3);
+            }
+        }
+        hash
+    }
+
+    /// Training is a long chain of reductions (every `dot` of every
+    /// `matvec`, every gradient norm) feeding element-wise updates. The
+    /// element-wise loops may be rewritten freely; a reordered reduction
+    /// changes the trained weights in their last bits, which this pin turns
+    /// into a test failure instead of a drift in benchmark quality. One
+    /// constant per kernel implementation, because the two round their
+    /// multiply-adds differently (see `mc_tensor::kernels`); both were
+    /// recorded on the commit before the loops were rewritten.
+    #[test]
+    fn trained_weights_are_pinned_bit_for_bit() {
+        let expected: u64 = match mc_tensor::kernels::active_isa() {
+            "avx2+fma" => 0x1450_1992_af4d_0b8a,
+            "portable" => 0x57b8_1be0_0c72_05e7,
+            other => panic!("no pinned checksum for kernel implementation {other:?}"),
+        };
+        let mut encoder = QueryEncoder::new(ModelProfile::tiny(), 3).unwrap();
+        let trainer = LocalTrainer::new(TrainerConfig {
+            learning_rate: 0.02,
+            batch_size: 6,
+            epochs: 8,
+            seed: 1,
+            ..TrainerConfig::default()
+        });
+        trainer.train(&mut encoder, &toy_dataset()).unwrap();
+        assert_eq!(
+            parameter_checksum(&encoder),
+            expected,
+            "trained weights moved: a reduction in the training path changed order or rounding"
         );
     }
 

@@ -65,11 +65,11 @@ impl DenseGrad {
     }
 }
 
-/// The cached values a forward pass produces, needed by the backward pass.
+/// The values a forward pass produces that the backward pass needs besides
+/// the layer's input, which the caller already holds (it is the previous
+/// layer's output, or the network input).
 #[derive(Debug, Clone)]
 pub struct DenseForward {
-    /// Layer input (copied so the caller may reuse its buffer).
-    pub input: Vec<f32>,
     /// Pre-activation values `x * W + b`.
     pub pre_activation: Vec<f32>,
     /// Post-activation output.
@@ -157,12 +157,8 @@ impl DenseLayer {
         self.weights.len() + self.bias.len()
     }
 
-    /// Forward pass for a single row vector, returning the cache the backward
-    /// pass needs.
-    ///
-    /// # Errors
-    /// Returns [`NnError::ShapeMismatch`] when `input.len() != input_dim`.
-    pub fn forward(&self, input: &[f32]) -> Result<DenseForward> {
+    /// `x * W + b` for a single row vector.
+    fn pre_activation(&self, input: &[f32]) -> Result<Vec<f32>> {
         if input.len() != self.input_dim() {
             return Err(NnError::ShapeMismatch(format!(
                 "dense forward: input {} vs expected {}",
@@ -177,25 +173,44 @@ impl DenseLayer {
         for (p, b) in pre.iter_mut().zip(&self.bias) {
             *p += *b;
         }
-        let mut output = pre.clone();
-        self.activation.apply_slice(&mut output);
+        Ok(pre)
+    }
+
+    /// Forward pass for a single row vector, returning the cache the backward
+    /// pass needs.
+    ///
+    /// # Errors
+    /// Returns [`NnError::ShapeMismatch`] when `input.len() != input_dim`.
+    pub fn forward(&self, input: &[f32]) -> Result<DenseForward> {
+        let pre_activation = self.pre_activation(input)?;
+        let output = pre_activation
+            .iter()
+            .map(|&p| self.activation.apply(p))
+            .collect();
         Ok(DenseForward {
-            input: input.to_vec(),
-            pre_activation: pre,
+            pre_activation,
             output,
         })
     }
 
-    /// Inference-only forward pass (no cache allocation beyond the output).
+    /// Inference-only forward pass: one allocation, the output, activated in
+    /// place.
+    ///
+    /// # Errors
+    /// Returns [`NnError::ShapeMismatch`] when `input.len() != input_dim`.
     pub fn infer(&self, input: &[f32]) -> Result<Vec<f32>> {
-        Ok(self.forward(input)?.output)
+        let mut output = self.pre_activation(input)?;
+        self.activation.apply_slice(&mut output);
+        Ok(output)
     }
 
-    /// Backward pass: given the forward cache and `d_output` (gradient of the
-    /// loss w.r.t. this layer's output), accumulates parameter gradients into
-    /// `grad` and returns the gradient w.r.t. the layer input.
+    /// Backward pass: given the `input` the forward pass ran on, its cache
+    /// and `d_output` (gradient of the loss w.r.t. this layer's output),
+    /// accumulates parameter gradients into `grad` and returns the gradient
+    /// w.r.t. the layer input.
     pub fn backward(
         &self,
+        input: &[f32],
         cache: &DenseForward,
         d_output: &[f32],
         grad: &mut DenseGrad,
@@ -208,13 +223,14 @@ impl DenseLayer {
             )));
         }
         // delta = d_output * activation'(pre_activation)
-        let mut delta = vec![0.0f32; d_output.len()];
-        for i in 0..delta.len() {
-            delta[i] = d_output[i] * self.activation.derivative(cache.pre_activation[i]);
-        }
+        let delta: Vec<f32> = d_output
+            .iter()
+            .zip(&cache.pre_activation)
+            .map(|(&d, &pre)| d * self.activation.derivative(pre))
+            .collect();
         // dW += input^T (outer) delta ; db += delta
         grad.d_weights
-            .add_outer(1.0, &cache.input, &delta)
+            .add_outer(1.0, input, &delta)
             .map_err(|e| NnError::ShapeMismatch(e.to_string()))?;
         for (b, d) in grad.d_bias.iter_mut().zip(&delta) {
             *b += d;
@@ -302,7 +318,7 @@ mod tests {
         let cache = l.forward(&x).unwrap();
         let d_output = vec![1.0; 3];
         let mut grad = l.zero_grad();
-        let d_input = l.backward(&cache, &d_output, &mut grad).unwrap();
+        let d_input = l.backward(&x, &cache, &d_output, &mut grad).unwrap();
 
         let loss_of = |l: &DenseLayer, x: &[f32]| -> f32 { l.infer(x).unwrap().iter().sum() };
         let h = 1e-3;
@@ -355,9 +371,10 @@ mod tests {
         let l = layer(Activation::Identity);
         let mut g1 = l.zero_grad();
         let mut g2 = l.zero_grad();
-        let cache = l.forward(&[1.0, 1.0, 1.0, 1.0]).unwrap();
-        l.backward(&cache, &[1.0, 1.0, 1.0], &mut g1).unwrap();
-        l.backward(&cache, &[1.0, 1.0, 1.0], &mut g2).unwrap();
+        let x = [1.0, 1.0, 1.0, 1.0];
+        let cache = l.forward(&x).unwrap();
+        l.backward(&x, &cache, &[1.0, 1.0, 1.0], &mut g1).unwrap();
+        l.backward(&x, &cache, &[1.0, 1.0, 1.0], &mut g2).unwrap();
         let single_norm = g1.norm();
         g1.accumulate(&g2).unwrap();
         assert!((g1.norm() - 2.0 * single_norm).abs() < 1e-4);
@@ -384,8 +401,9 @@ mod tests {
     #[test]
     fn backward_rejects_wrong_output_grad_shape() {
         let l = layer(Activation::Relu);
-        let cache = l.forward(&[0.0, 0.0, 0.0, 0.0]).unwrap();
+        let x = [0.0, 0.0, 0.0, 0.0];
+        let cache = l.forward(&x).unwrap();
         let mut grad = l.zero_grad();
-        assert!(l.backward(&cache, &[1.0], &mut grad).is_err());
+        assert!(l.backward(&x, &cache, &[1.0], &mut grad).is_err());
     }
 }

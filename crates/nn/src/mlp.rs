@@ -71,6 +71,9 @@ impl MlpGrad {
 /// Cached activations of a full forward pass, used for backpropagation.
 #[derive(Debug, Clone)]
 pub struct MlpForward {
+    /// The network input (layer 0's input; layer `i > 0` reads its input from
+    /// `caches[i - 1].output`).
+    input: Vec<f32>,
     caches: Vec<DenseForward>,
 }
 
@@ -82,6 +85,14 @@ impl MlpForward {
             .last()
             .expect("MlpForward always holds at least one layer cache")
             .output
+    }
+
+    /// The input layer `i` ran on.
+    fn layer_input(&self, i: usize) -> &[f32] {
+        match i.checked_sub(1) {
+            Some(prev) => &self.caches[prev].output,
+            None => &self.input,
+        }
     }
 }
 
@@ -169,20 +180,25 @@ impl Mlp {
 
     /// Forward pass retaining per-layer caches for backpropagation.
     pub fn forward(&self, input: &[f32]) -> Result<MlpForward> {
-        let mut caches = Vec::with_capacity(self.layers.len());
-        let mut current = input.to_vec();
-        for layer in &self.layers {
-            let cache = layer.forward(&current)?;
-            current = cache.output.clone();
-            caches.push(cache);
+        let mut forward = MlpForward {
+            input: input.to_vec(),
+            caches: Vec::with_capacity(self.layers.len()),
+        };
+        for (i, layer) in self.layers.iter().enumerate() {
+            let cache = layer.forward(forward.layer_input(i))?;
+            forward.caches.push(cache);
         }
-        Ok(MlpForward { caches })
+        Ok(forward)
     }
 
     /// Inference-only forward pass.
     pub fn infer(&self, input: &[f32]) -> Result<Vec<f32>> {
-        let mut current = input.to_vec();
-        for layer in &self.layers {
+        let (first, rest) = self
+            .layers
+            .split_first()
+            .expect("an Mlp holds at least one layer");
+        let mut current = first.infer(input)?;
+        for layer in rest {
             current = layer.infer(&current)?;
         }
         Ok(current)
@@ -199,9 +215,18 @@ impl Mlp {
         if grad.layers.len() != self.layers.len() {
             return Err(NnError::ShapeMismatch("MlpGrad layer count".into()));
         }
-        let mut d = d_output.to_vec();
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            d = layer.backward(&forward.caches[i], &d, &mut grad.layers[i])?;
+        let step = |i: usize, d: &[f32], grad: &mut MlpGrad| {
+            self.layers[i].backward(
+                forward.layer_input(i),
+                &forward.caches[i],
+                d,
+                &mut grad.layers[i],
+            )
+        };
+        let last = self.layers.len() - 1;
+        let mut d = step(last, d_output, grad)?;
+        for i in (0..last).rev() {
+            d = step(i, &d, grad)?;
         }
         Ok(d)
     }

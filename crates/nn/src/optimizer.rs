@@ -90,10 +90,13 @@ impl Optimizer for Sgd {
                 params.len()
             )));
         }
-        for i in 0..params.len() {
-            let g = grads[i] + self.weight_decay * params[i];
-            velocity[i] = self.momentum * velocity[i] + g;
-            params[i] -= self.lr * velocity[i];
+        // Element-wise over three equal-length slices: zipped so the compiler
+        // drops the bounds checks and vectorises (see `mc_tensor::vector::axpy`
+        // for why that cannot change a bit of the result).
+        for ((p, &grad), vel) in params.iter_mut().zip(grads).zip(velocity.iter_mut()) {
+            let g = grad + self.weight_decay * *p;
+            *vel = self.momentum * *vel + g;
+            *p -= self.lr * *vel;
         }
         Ok(())
     }
@@ -121,6 +124,10 @@ pub struct Adam {
     weight_decay: f32,
     /// Per-slot (first moment, second moment, step count).
     state: HashMap<usize, AdamSlot>,
+    /// `(1 - beta1^t, 1 - beta2^t)` at index `t - 1`, filled as step counts
+    /// are first reached. A pure function of the betas, which never change.
+    #[serde(default)]
+    bias_corrections: Vec<(f32, f32)>,
 }
 
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -172,6 +179,7 @@ impl Adam {
             epsilon,
             weight_decay,
             state: HashMap::new(),
+            bias_corrections: Vec::new(),
         })
     }
 }
@@ -198,16 +206,34 @@ impl Optimizer for Adam {
             )));
         }
         entry.t += 1;
-        let t = entry.t as f32;
-        let bias1 = 1.0 - self.beta1.powf(t);
-        let bias2 = 1.0 - self.beta2.powf(t);
-        for i in 0..params.len() {
-            let g = grads[i] + self.weight_decay * params[i];
-            entry.m[i] = self.beta1 * entry.m[i] + (1.0 - self.beta1) * g;
-            entry.v[i] = self.beta2 * entry.v[i] + (1.0 - self.beta2) * g * g;
-            let m_hat = entry.m[i] / bias1;
-            let v_hat = entry.v[i] / bias2;
-            params[i] -= self.lr * m_hat / (v_hat.sqrt() + self.epsilon);
+        let (beta1, beta2) = (self.beta1, self.beta2);
+        let correction = |t: u64| (1.0 - beta1.powf(t as f32), 1.0 - beta2.powf(t as f32));
+        // Slots step at different times (an embedding-table row only when a
+        // batch activates it), but a count is at most one past the largest
+        // any slot has reached, so the table grows by one entry at a time and
+        // each count's two `powf`s are computed once. (A count beyond that —
+        // state restored without its table — is simply computed.)
+        let index = (entry.t - 1) as usize;
+        let (bias1, bias2) = match self.bias_corrections.get(index) {
+            Some(&cached) => cached,
+            None => {
+                let fresh = correction(entry.t);
+                if index == self.bias_corrections.len() {
+                    self.bias_corrections.push(fresh);
+                }
+                fresh
+            }
+        };
+        let moments = entry.m.iter_mut().zip(entry.v.iter_mut());
+        // Element-wise and zipped, as in `Sgd::step`; SIMD division and
+        // square root are correctly rounded, so the vector form is exact.
+        for ((p, &grad), (m, v)) in params.iter_mut().zip(grads).zip(moments) {
+            let g = grad + self.weight_decay * *p;
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bias1;
+            let v_hat = *v / bias2;
+            *p -= self.lr * m_hat / (v_hat.sqrt() + self.epsilon);
         }
         Ok(())
     }
@@ -260,6 +286,170 @@ mod tests {
         let mut opt = Adam::new(0.3).unwrap();
         let x = minimise_quadratic(&mut opt, 200);
         assert!((x - 3.0).abs() < 1e-2, "x={x}");
+    }
+
+    /// Parameters and gradients where a wrong lane, a fused multiply-add, a
+    /// flushed subnormal or an approximate `sqrt`/`div` would show.
+    fn adversarial(n: usize, seed: u64, scale: f32) -> Vec<f32> {
+        const SPECIALS: [f32; 10] = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -1.0e-45,
+            3.0e-42,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NAN,
+            1.0e-20,
+        ];
+        let mut rng = mc_tensor::rng::seeded(seed);
+        let mut values = mc_tensor::rng::uniform_vec(n, scale, &mut rng);
+        for (i, v) in values.iter_mut().enumerate() {
+            if i % 4 == seed as usize % 4 {
+                *v = SPECIALS[(i / 4 + seed as usize) % SPECIALS.len()];
+            }
+        }
+        values
+    }
+
+    /// Bit patterns with every NaN folded to one.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
+    }
+
+    /// The update rules written one operation at a time through `black_box`,
+    /// so the optimiser can neither vectorise nor fuse them: what `step` must
+    /// equal bit for bit in a `--release` build (debug builds do not
+    /// vectorise `step` either, so there the comparison is trivial).
+    struct ScalarReference {
+        velocity: Vec<f32>,
+        m: Vec<f32>,
+        v: Vec<f32>,
+        t: u64,
+    }
+
+    impl ScalarReference {
+        fn new(n: usize) -> Self {
+            Self {
+                velocity: vec![0.0; n],
+                m: vec![0.0; n],
+                v: vec![0.0; n],
+                t: 0,
+            }
+        }
+
+        fn sgd(&mut self, lr: f32, momentum: f32, decay: f32, params: &mut [f32], grads: &[f32]) {
+            use std::hint::black_box as bb;
+            for i in 0..params.len() {
+                let g = bb(grads[i] + bb(decay * params[i]));
+                self.velocity[i] = bb(bb(momentum * self.velocity[i]) + g);
+                params[i] = bb(params[i] - bb(lr * self.velocity[i]));
+            }
+        }
+
+        fn adam(&mut self, cfg: [f32; 5], params: &mut [f32], grads: &[f32]) {
+            use std::hint::black_box as bb;
+            let [lr, beta1, beta2, epsilon, decay] = cfg;
+            self.t += 1;
+            let bias1 = 1.0 - beta1.powf(self.t as f32);
+            let bias2 = 1.0 - beta2.powf(self.t as f32);
+            for i in 0..params.len() {
+                let g = bb(grads[i] + bb(decay * params[i]));
+                self.m[i] = bb(bb(beta1 * self.m[i]) + bb(bb(1.0 - beta1) * g));
+                self.v[i] = bb(bb(beta2 * self.v[i]) + bb(bb(bb(1.0 - beta2) * g) * g));
+                let m_hat = bb(self.m[i] / bias1);
+                let v_hat = bb(self.v[i] / bias2);
+                let step = bb(bb(lr * m_hat) / bb(bb(v_hat.sqrt()) + epsilon));
+                params[i] = bb(params[i] - step);
+            }
+        }
+    }
+
+    #[test]
+    fn sgd_step_is_bit_equal_to_the_scalar_loop() {
+        for n in 0..=67 {
+            for (case, &(lr, momentum, decay)) in [
+                (0.1f32, 0.9f32, 0.0f32),
+                (3.0e3, 0.0, 0.5),
+                (1.0e-30, 0.5, 1.0e-3),
+            ]
+            .iter()
+            .enumerate()
+            {
+                let mut opt = Sgd::new(lr, momentum, decay).unwrap();
+                let mut reference = ScalarReference::new(n);
+                let mut actual = adversarial(n, case as u64, 2.0);
+                let mut expected = actual.clone();
+                for round in 0..3 {
+                    let grads = adversarial(n, 10 + round + case as u64, 1.0e2);
+                    opt.step(0, &mut actual, &grads).unwrap();
+                    reference.sgd(lr, momentum, decay, &mut expected, &grads);
+                    assert_eq!(
+                        bits(&actual),
+                        bits(&expected),
+                        "n={n} case={case} round={round}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adam_step_is_bit_equal_to_the_scalar_loop() {
+        for n in 0..=67 {
+            for (case, cfg) in [
+                [0.02f32, 0.9, 0.999, 1e-8, 0.0],
+                [5.0e2, 0.5, 0.25, 1.0e-30, 0.1],
+                [1.0e-12, 0.0, 0.99, 1.0, 3.0],
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                let [lr, beta1, beta2, epsilon, decay] = cfg;
+                let mut opt = Adam::with_config(lr, beta1, beta2, epsilon, decay).unwrap();
+                // Two slots stepped at different rates, as embedding-table
+                // rows are: slot 1 reaches a step count after slot 0 did, so
+                // it reads the bias corrections slot 0 left in the table.
+                let mut references = [ScalarReference::new(n), ScalarReference::new(n)];
+                let mut actual = [adversarial(n, case as u64, 2.0), adversarial(n, 50, 0.1)];
+                let mut expected = actual.clone();
+                for round in 0..5u64 {
+                    for slot in 0..2 {
+                        if slot == 1 && round % 2 == 1 {
+                            continue;
+                        }
+                        let scale = [1.0e2, 1.0e-20, 1.0e15][round as usize % 3];
+                        let grads = adversarial(n, 10 + round + slot as u64, scale);
+                        opt.step(slot, &mut actual[slot], &grads).unwrap();
+                        references[slot].adam(cfg, &mut expected[slot], &grads);
+                        assert_eq!(
+                            bits(&actual[slot]),
+                            bits(&expected[slot]),
+                            "n={n} case={case} round={round} slot={slot}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn adam_state_restored_without_its_bias_table_steps_the_same() {
+        let mut opt = Adam::new(0.05).unwrap();
+        let mut a = vec![0.3f32, -0.7, 1.1];
+        for _ in 0..4 {
+            opt.step(9, &mut a, &[0.2, -0.1, 0.4]).unwrap();
+        }
+        let mut restored = opt.clone();
+        restored.bias_corrections.clear();
+        let mut b = a.clone();
+        opt.step(9, &mut a, &[0.5, 0.5, -0.5]).unwrap();
+        restored.step(9, &mut b, &[0.5, 0.5, -0.5]).unwrap();
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

@@ -173,50 +173,39 @@ pub fn cosine_similarity_normalized(a: &[f32], b: &[f32]) -> f32 {
 /// In-place L2 normalisation. Vectors with a norm below `f32::EPSILON` are
 /// left untouched (normalising them would produce NaNs).
 ///
-/// The norm goes through the dispatched [`dot`]; the rescale is a plain
-/// four-wide unrolled loop the compiler vectorises.
+/// The norm is a reduction and goes through the dispatched [`dot`]; the
+/// rescale is element-wise and goes through [`scale`].
 #[inline]
 pub fn normalize(a: &mut [f32]) {
     let n = norm(a);
     if n > f32::EPSILON {
-        let inv = 1.0 / n;
-        let chunks = a.len() / 4;
-        for i in 0..chunks {
-            let j = i * 4;
-            a[j] *= inv;
-            a[j + 1] *= inv;
-            a[j + 2] *= inv;
-            a[j + 3] *= inv;
-        }
-        for x in &mut a[chunks * 4..] {
-            *x *= inv;
-        }
+        scale(1.0 / n, a);
     }
 }
 
-/// `y += alpha * x` (the BLAS AXPY primitive), used by every optimiser step.
+/// `y += alpha * x` (the BLAS AXPY primitive) over the common length of the
+/// two slices: the inner loop of the encoder's pooling and `vecmat`, of
+/// every rank-1 gradient update and of every gradient accumulation.
 ///
-/// Unrolled four-wide: the four multiply-adds per iteration are independent,
-/// so the optimiser-step hot loop (every layer of every federated client
-/// round goes through here) is not latency-bound on a single chain.
+/// Written as a zipped iterator loop so the compiler sees both lengths, drops
+/// the bounds checks and vectorises it at whatever width the build targets.
+/// That is free of consequences for the result: each output element is one
+/// multiply rounded to `f32` and one add rounded to `f32` of its own two
+/// inputs — there is no order to change, Rust never contracts `a * b + c`
+/// into a fused multiply-add, and SIMD `mul`/`add`/`div`/`sqrt` round exactly
+/// as their scalar forms do. *Reductions* are the opposite case: their result
+/// depends on the order of the additions, so each keeps one written-out
+/// order — [`dot`] and the norms in [`crate::kernels`], [`sum`] in its four
+/// accumulators — that no rewrite of this file may change.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    let n = x.len().min(y.len());
-    let chunks = n / 4;
-    for i in 0..chunks {
-        let j = i * 4;
-        y[j] += alpha * x[j];
-        y[j + 1] += alpha * x[j + 1];
-        y[j + 2] += alpha * x[j + 2];
-        y[j + 3] += alpha * x[j + 3];
-    }
-    for j in (chunks * 4)..n {
-        y[j] += alpha * x[j];
+    for (yj, &xj) in y.iter_mut().zip(x) {
+        *yj += alpha * xj;
     }
 }
 
-/// `a *= alpha` in place.
+/// `a *= alpha` in place (element-wise, so free to vectorise — see [`axpy`]).
 #[inline]
 pub fn scale(alpha: f32, a: &mut [f32]) {
     for x in a.iter_mut() {

@@ -5,6 +5,8 @@
 //! encoder's robustness comes from the hashed character n-grams layered on
 //! top (see [`crate::ngram`]), not from a heavyweight subword vocabulary.
 
+use std::borrow::Cow;
+
 use serde::{Deserialize, Serialize};
 
 /// Configuration and implementation of query tokenisation.
@@ -47,20 +49,30 @@ impl Tokenizer {
         }
     }
 
-    /// Splits a query into word tokens according to the configuration.
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
-        let prepared: String = if self.lowercase {
-            text.to_lowercase()
+    /// Case-folds `text` as the configuration asks, borrowing it when there
+    /// is nothing to fold. The result is what [`Tokenizer::split`] cuts.
+    pub fn fold<'a>(&self, text: &'a str) -> Cow<'a, str> {
+        if self.lowercase {
+            Cow::Owned(text.to_lowercase())
         } else {
-            text.to_string()
-        };
-        prepared
+            Cow::Borrowed(text)
+        }
+    }
+
+    /// Word tokens of an already [folded](Tokenizer::fold) string, borrowed
+    /// from it: the allocation-free half of [`Tokenizer::tokenize`], for
+    /// callers (the feature hasher) that only read the tokens.
+    pub fn split<'a>(&'a self, folded: &'a str) -> impl Iterator<Item = &'a str> + 'a {
+        folded
             .split(|c: char| !c.is_alphanumeric() && c != '\'')
             .map(|t| t.trim_matches('\''))
             .filter(|t| t.len() >= self.min_token_len)
             .filter(|t| !self.remove_stopwords || !STOPWORDS.contains(t))
-            .map(|t| t.to_string())
-            .collect()
+    }
+
+    /// Splits a query into word tokens according to the configuration.
+    pub fn tokenize(&self, text: &str) -> Vec<String> {
+        self.split(&self.fold(text)).map(str::to_owned).collect()
     }
 
     /// Tokenises and rejoins with single spaces — a normalised form used for
@@ -71,7 +83,7 @@ impl Tokenizer {
 
     /// Number of tokens a query produces.
     pub fn token_count(&self, text: &str) -> usize {
-        self.tokenize(text).len()
+        self.split(&self.fold(text)).count()
     }
 }
 
