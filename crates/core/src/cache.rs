@@ -489,25 +489,20 @@ impl MeanCache {
     }
 
     /// Installs a snapshot-restored index wholesale and re-inserts `entries`
-    /// into the entry store in arrival order. Entries whose id is in
-    /// `indexed` (the snapshot rows, already present in `index`) skip the
-    /// per-vector `add`; the rest (the WAL tail replayed past the snapshot)
-    /// are added individually — `None` means *every* entry is already
-    /// indexed (the no-tail fast path). Used by [`crate::persist`]'s
-    /// snapshot restore path — the caller must pass the *union* of snapshot
-    /// and tail entries in the same `(parent.is_some(), id)` order a full
-    /// log replay would use, so the store assigns identical logical
-    /// timestamps and future evictions stay decision-identical to a
-    /// replayed cache.
+    /// — the snapshot's rows, each already present in `index` — into the
+    /// entry store in arrival order. Used by [`crate::persist`]'s snapshot
+    /// restore path; the snapshot saved its entries in the
+    /// `(parent.is_some(), id)` order a full log replay uses, so the store
+    /// assigns identical logical timestamps and future evictions stay
+    /// decision-identical to a replayed cache.
     ///
     /// # Errors
     /// Returns [`CacheError::Store`] when the restored index dimensionality
-    /// differs from the configured one, or a tail entry fails to index.
+    /// differs from the configured one.
     pub(crate) fn install_restored(
         &mut self,
         index: AnyIndex,
         entries: Vec<CacheEntry>,
-        indexed: Option<&std::collections::HashSet<u64>>,
     ) -> Result<()> {
         if index.dims() != self.index.dims() {
             return Err(CacheError::Store(mc_store::StoreError::DimensionMismatch {
@@ -516,30 +511,19 @@ impl MeanCache {
             }));
         }
         self.index = index;
-        if indexed.is_none() && self.store.is_empty() && entries.len() <= self.store.capacity() {
-            // No-tail restore into a fresh store: ids are unique (snapshot
-            // rows) and everything fits, so no insert could evict or need
-            // indexing — take the bulk path.
-            let count = entries.len() as u64;
+        let count = entries.len() as u64;
+        if self.store.is_empty() && entries.len() <= self.store.capacity() {
+            // A fresh store that everything fits into: ids are unique
+            // (snapshot rows), so no insert could evict — take the bulk path.
             self.store.restore_bulk(entries);
-            AtomicCacheStats::bump(&self.stats.inserts, count);
-            return Ok(());
-        }
-        self.store.reserve(entries.len());
-        for entry in entries {
-            let id = entry.id;
-            let needs_index = indexed.is_some_and(|set| !set.contains(&id));
-            let embedding = needs_index.then(|| entry.embedding.clone());
-            if let Some(evicted) = self.store.insert(entry) {
-                let _ = self.index.remove(evicted);
+        } else {
+            for entry in entries {
+                if let Some(evicted) = self.store.insert(entry) {
+                    let _ = self.index.remove(evicted);
+                }
             }
-            if let Some(embedding) = embedding {
-                self.index
-                    .add(id, embedding.as_slice())
-                    .map_err(CacheError::from)?;
-            }
-            AtomicCacheStats::bump(&self.stats.inserts, 1);
         }
+        AtomicCacheStats::bump(&self.stats.inserts, count);
         Ok(())
     }
 

@@ -60,27 +60,6 @@ pub struct MeanCacheConfig {
     /// above.
     #[serde(default)]
     pub routing: RoutingMode,
-    /// Whether the persistence layer writes an `MCSNAP01` snapshot sidecar
-    /// (`<path>.snap`) next to the entry log on every save
-    /// ([`SnapshotPolicy::Enabled`], the default). Loading prefers the
-    /// snapshot — `mmap` + checksum + WAL-tail replay — and falls back to
-    /// full log replay when the snapshot is missing, stale, or corrupt, so
-    /// disabling this only costs restart time, never correctness.
-    /// Serde-defaulted so sidecars written before this field existed still
-    /// load. See `docs/FORMAT.md` for the container layout.
-    #[serde(default)]
-    pub snapshot: SnapshotPolicy,
-}
-
-/// Whether saves also emit the zero-copy `MCSNAP01` snapshot tier
-/// (see [`MeanCacheConfig::snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum SnapshotPolicy {
-    /// Write a snapshot on every save and prefer it on load (default).
-    #[default]
-    Enabled,
-    /// Never write snapshots; loads always replay the entry log.
-    Disabled,
 }
 
 impl Default for MeanCacheConfig {
@@ -96,7 +75,6 @@ impl Default for MeanCacheConfig {
             index: IndexKind::default(),
             shards: 1,
             routing: RoutingMode::Hash,
-            snapshot: SnapshotPolicy::Enabled,
         }
     }
 }
@@ -182,12 +160,6 @@ impl MeanCacheConfig {
     /// Returns a copy with the serving-layer routing mode replaced.
     pub fn with_routing(mut self, routing: RoutingMode) -> Self {
         self.routing = routing;
-        self
-    }
-
-    /// Returns a copy with the snapshot policy replaced.
-    pub fn with_snapshot(mut self, snapshot: SnapshotPolicy) -> Self {
-        self.snapshot = snapshot;
         self
     }
 }
@@ -326,34 +298,20 @@ mod tests {
     #[test]
     fn sidecar_with_the_retired_fsync_key_still_loads() {
         // Saves are written once and atomically, so the entry-log `fsync`
-        // knob is gone; sidecars written while it existed carry the key.
+        // knob is gone, and every save writes a snapshot, so the `snapshot`
+        // knob is too; sidecars written while they existed carry the keys.
         let json = serde_json::to_string(&MeanCacheConfig::default().with_shards(3)).unwrap();
-        assert!(!json.contains("fsync"), "the field must be gone: {json}");
-        for value in ["\"Never\"", "\"Always\"", "{\"EveryN\":16}"] {
-            let old = json.replacen('{', &format!("{{\"fsync\":{value},"), 1);
-            let cfg: MeanCacheConfig = serde_json::from_str(&old).unwrap();
-            assert_eq!(cfg, MeanCacheConfig::default().with_shards(3));
+        for (key, values) in [
+            ("fsync", &["\"Never\"", "\"Always\"", "{\"EveryN\":16}"][..]),
+            ("snapshot", &["\"Enabled\"", "\"Disabled\""][..]),
+        ] {
+            assert!(!json.contains(key), "the field must be gone: {json}");
+            for value in values {
+                let old = json.replacen('{', &format!("{{\"{key}\":{value},"), 1);
+                let cfg: MeanCacheConfig = serde_json::from_str(&old).unwrap();
+                assert_eq!(cfg, MeanCacheConfig::default().with_shards(3));
+            }
         }
-    }
-
-    #[test]
-    fn snapshot_policy_round_trips_and_defaults_to_enabled() {
-        let cfg = MeanCacheConfig::default();
-        assert_eq!(cfg.snapshot, SnapshotPolicy::Enabled);
-        let cfg = cfg.with_snapshot(SnapshotPolicy::Disabled);
-        assert!(cfg.validate().is_ok());
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: MeanCacheConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.snapshot, SnapshotPolicy::Disabled);
-        // A sidecar written before the `snapshot` field existed must load
-        // with snapshots enabled.
-        let json = serde_json::to_string(&MeanCacheConfig::default()).unwrap();
-        let old = json
-            .replace(",\"snapshot\":\"Enabled\"", "")
-            .replace("\"snapshot\":\"Enabled\",", "");
-        assert!(!old.contains("snapshot"), "field must be stripped: {old}");
-        let cfg: MeanCacheConfig = serde_json::from_str(&old).unwrap();
-        assert_eq!(cfg.snapshot, SnapshotPolicy::Enabled);
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub mod shard;
 pub mod tenant;
 
 pub use cache::{CacheDecisionOutcome, CacheHit, CacheStats, MeanCache, SemanticCache};
-pub use config::{MeanCacheConfig, SnapshotPolicy};
+pub use config::MeanCacheConfig;
 pub use deploy::{Deployment, DeploymentReport, ProbeSpec, QueryRecord};
 pub use gptcache::{GptCacheBaseline, GptCacheConfig};
 pub use shard::{reshard, route_key, RoutingMode, ShardStat, ShardedCache};

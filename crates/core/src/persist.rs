@@ -1,9 +1,13 @@
 //! Persistence of the local cache across application restarts.
 //!
 //! The paper's implementation keeps the user's cache on disk with the
-//! DiskCache library so responses survive restarts. Here the cache contents
-//! are written to `mc-store`'s append-only [`DiskStore`] and reloaded into a
-//! fresh [`MeanCache`] built around the same encoder.
+//! DiskCache library so responses survive restarts. Here a save dumps the
+//! cache contents to an `mc-store` entry log
+//! ([`mc_store::write_compacted_log`]) and a load reads them back
+//! ([`mc_store::read_entry_log`]) into a fresh [`MeanCache`] built around the
+//! same encoder. Every persisted file — log, snapshot, JSON sidecar — is
+//! replaced whole through [`mc_store::atomic_write`], so a failed or
+//! interrupted save leaves the previous one loadable.
 //!
 //! The entry log is **index-agnostic**: it stores raw `f32` embeddings (the
 //! binary layout's `[u32 dims][f32 * dims]` payload), and loading re-inserts
@@ -37,23 +41,24 @@
 //! rebuilt from the logs — which **are** the root → shard assignment —
 //! whenever any shard had to fall back to replay).
 //!
-//! **Snapshots: the fast restart tier.** Every save additionally writes an
+//! **Snapshots: the fast restart tier.** Every save also writes an
 //! `MCSNAP01` snapshot sidecar (`<log>.snap`, see `docs/FORMAT.md` and
 //! [`mc_store::snapshot`]) capturing the index arenas and entries in their
-//! in-memory layout plus a fingerprint of the entry-log prefix it reflects.
-//! Loading follows a three-step decision tree, per log:
+//! in-memory layout plus the [`LogFingerprint`] of the entry log written
+//! with it. Loading takes one of two states, per log:
 //!
 //! 1. **Snapshot** — `<log>.snap` exists, every section checksum verifies,
-//!    and the log still starts with the fingerprinted prefix: `mmap` the
-//!    arenas and install them directly (no re-encoding, no re-insertion).
-//! 2. **WAL tail** — records the log gained *after* the snapshot (pure
-//!    inserts only) are replayed on top; the restored cache is
-//!    decision-identical to one that replayed the whole log.
-//! 3. **Full replay** — anything disqualifies the snapshot (missing,
-//!    corrupt, stale fingerprint, non-insert tail) and the loader silently
-//!    falls back to replaying the log from the start — snapshots are an
-//!    accelerator, never a correctness dependency. Disable the tier
-//!    entirely with [`crate::SnapshotPolicy::Disabled`].
+//!    and the log on disk still has the recorded fingerprint (it is the very
+//!    dump the snapshot accompanied): `mmap` the arenas and install them
+//!    directly (no re-encoding, no re-insertion).
+//! 2. **Full replay** — anything else (snapshot missing, corrupt, written
+//!    for another tenant, or beside a log that has since been rewritten,
+//!    grown or shortened) and the loader silently replays the log from the
+//!    start — snapshots are an accelerator, never a correctness dependency.
+//!
+//! Two states are enough because nothing appends to a log: every file is
+//! replaced by rename, so a crash leaves each of them old or new, never a
+//! snapshot with later writes stranded behind it.
 //!
 //! **Resharding.** A save records its shard count and routing mode, and
 //! loading with [`load_sharded_cache_with_config`] reproduces them exactly
@@ -92,10 +97,9 @@
 use std::path::{Path, PathBuf};
 
 use mc_embedder::QueryEncoder;
-use mc_store::{CacheEntry, DiskStore, RecoveryStats, SnapshotView};
+use mc_store::{CacheEntry, LogFingerprint, RecoveryStats, SnapshotView};
 use serde::{Deserialize, Serialize};
 
-use crate::config::SnapshotPolicy;
 use crate::shard::RoutingMode;
 use crate::{CacheError, MeanCache, MeanCacheConfig, Result, ShardedCache};
 
@@ -107,10 +111,9 @@ pub fn snapshot_path(path: &Path) -> PathBuf {
     PathBuf::from(name)
 }
 
-/// Atomically replaces the entry log at `path` with one compacted log of
-/// every cached entry (a failed save leaves the previous one loadable) and —
-/// unless the cache's [`SnapshotPolicy`] disables it — writes the
-/// `<path>.snap` zero-copy snapshot the loaders prefer over log replay.
+/// Atomically replaces the entry log at `path` with one dump of every
+/// cached entry (a failed save leaves the previous one loadable) and writes
+/// the `<path>.snap` zero-copy snapshot the loaders prefer over log replay.
 ///
 /// # Errors
 /// Propagates storage/IO failures.
@@ -130,70 +133,50 @@ fn save_cache_with_pins(
 ) -> Result<()> {
     let mut entries: Vec<&CacheEntry> = cache.entries().collect();
     entries.sort_by_key(|e| e.id);
-    let wal_len = mc_store::write_compacted_log(path, entries.into_iter())?;
-    match cache.config().snapshot {
-        SnapshotPolicy::Enabled => write_snapshot_for(cache, path, wal_len, pins, tenant),
-        SnapshotPolicy::Disabled => {
-            let snap = snapshot_path(path);
-            if snap.exists() {
-                std::fs::remove_file(&snap).map_err(mc_store::StoreError::from)?;
-            }
-            Ok(())
-        }
-    }
+    let log = mc_store::write_compacted_log(path, entries.into_iter())?;
+    write_snapshot_for(cache, path, log, pins, tenant)
 }
 
 /// Writes the `<path>.snap` snapshot for a cache whose entry log at `path`
-/// is `wal_len` bytes long. The snapshot records the log prefix's
-/// fingerprint so a loader can detect whether the log has since diverged
-/// (rewritten, truncated) and fall back to replay.
+/// has the fingerprint `log`; a loader restores from the snapshot only
+/// while the log still has it, and replays the log otherwise.
 fn write_snapshot_for(
     cache: &MeanCache,
     path: &Path,
-    wal_len: u64,
+    log: LogFingerprint,
     pins: &[(u64, u64)],
     tenant: Option<&str>,
 ) -> Result<()> {
-    let Some((head, tail)) = mc_store::prefix_fingerprint(path, wal_len)? else {
-        // The log is shorter than the length we just observed — something
-        // else is rewriting it; skip the snapshot rather than persist a
-        // fingerprint that can never match.
-        return Ok(());
-    };
     let mut entries: Vec<&CacheEntry> = cache.entries().collect();
     entries.sort_by_key(|e| (e.parent.is_some(), e.id));
     let view = SnapshotView {
         entries,
         index: cache.index(),
         pins,
-        wal_len,
-        wal_head_crc: head,
-        wal_tail_crc: tail,
+        wal_len: log.len,
+        wal_head_crc: log.head_crc,
+        wal_tail_crc: log.tail_crc,
         tenant,
     };
     mc_store::save_snapshot(&snapshot_path(path), &view).map_err(CacheError::from)
 }
 
 /// Attempts the fast restore path: load `<path>.snap`, verify the entry
-/// log still starts with the exact prefix the snapshot captured, replay
-/// any pure-insert tail the log grew past it, and install the result into
-/// `cache`. Returns the snapshot's persisted root pins on success and
-/// `Ok(None)` — cache untouched — whenever *anything* disqualifies the
-/// snapshot (policy disabled, file missing/corrupt/stale, non-insert tail
-/// records), so the caller can fall back to full log replay.
+/// log is still the dump the snapshot was written with, and install the
+/// result into `cache`. Returns the snapshot's persisted root pins on
+/// success and `Ok(None)` — cache untouched — whenever *anything*
+/// disqualifies the snapshot (file missing or corrupt, another tenant's,
+/// a log with a different fingerprint), so the caller can fall back to
+/// full log replay.
 ///
 /// # Errors
-/// Only propagates failures full replay would hit too (index dimension
-/// mismatch, tail entries that no longer fit the index).
+/// Only propagates a failure full replay would hit too (index dimension
+/// mismatch).
 fn try_snapshot_restore(
     cache: &mut MeanCache,
     path: &Path,
-    stats: &mut RecoveryStats,
     expected_tenant: Option<&str>,
 ) -> Result<Option<Vec<(u64, u64)>>> {
-    if cache.config().snapshot == SnapshotPolicy::Disabled {
-        return Ok(None);
-    }
     let snap = snapshot_path(path);
     if !snap.exists() {
         return Ok(None);
@@ -208,39 +191,15 @@ fn try_snapshot_restore(
     if restored.tenant.as_deref() != expected_tenant {
         return Ok(None);
     }
-    // The snapshot is only valid over the exact log prefix it fingerprinted.
-    match mc_store::prefix_fingerprint(path, restored.wal_len) {
-        Ok(Some((head, tail)))
-            if head == restored.wal_head_crc && tail == restored.wal_tail_crc => {}
-        _ => return Ok(None),
+    let recorded = LogFingerprint {
+        len: restored.wal_len,
+        head_crc: restored.wal_head_crc,
+        tail_crc: restored.wal_tail_crc,
+    };
+    if LogFingerprint::of_file(path).ok() != Some(recorded) {
+        return Ok(None);
     }
-    // Replay the records the log gained after the snapshot. Anything but a
-    // pure run of inserts (a removal, touch, or compaction footer) means
-    // the tail is not replayable on top of the snapshot.
-    let tail_entries = match DiskStore::read_insert_tail(path, restored.wal_len) {
-        Ok(Some(entries)) => entries,
-        _ => return Ok(None),
-    };
-    let tail_count = tail_entries.len() as u64;
-    let mut entries = restored.entries;
-    let indexed = if tail_count > 0 {
-        // Only snapshot rows are already in the restored index; tail rows
-        // must be added individually.
-        let set: std::collections::HashSet<u64> = entries.iter().map(|e| e.id).collect();
-        entries.extend(tail_entries);
-        // Same global order a full replay uses, so the store assigns the
-        // same logical timestamps and future evictions are
-        // decision-identical. (Without a tail the snapshot's saved order —
-        // already this order — stands.)
-        entries.sort_by_key(|e| (e.parent.is_some(), e.id));
-        Some(set)
-    } else {
-        None
-    };
-    cache.install_restored(restored.index, entries, indexed.as_ref())?;
-    stats.snapshot_loaded += 1;
-    stats.wal_tail_replayed += tail_count;
-    stats.records_replayed += tail_count;
+    cache.install_restored(restored.index, restored.entries)?;
     Ok(Some(restored.pins))
 }
 
@@ -255,11 +214,9 @@ pub fn load_cache(template: MeanCache, path: &Path) -> Result<MeanCache> {
 }
 
 /// [`load_cache`], additionally reporting how the cache was restored: via
-/// the `<path>.snap` mapped snapshot ([`RecoveryStats::snapshot_loaded`],
-/// plus any log-tail records replayed on top —
-/// [`RecoveryStats::wal_tail_replayed`]) or, when no valid snapshot
-/// exists, by full log replay (checksummed records replayed, torn/corrupt
-/// tail bytes truncated off the file).
+/// the `<path>.snap` mapped snapshot ([`RecoveryStats::snapshot_loaded`])
+/// or, when no valid snapshot exists, by full log replay (checksummed
+/// records replayed, torn/corrupt tail bytes dropped).
 ///
 /// # Errors
 /// See [`load_cache`].
@@ -268,8 +225,11 @@ pub fn load_cache_with_report(
     path: &Path,
 ) -> Result<(MeanCache, RecoveryStats)> {
     let mut cache = template;
-    let mut recovery = RecoveryStats::default();
-    if try_snapshot_restore(&mut cache, path, &mut recovery, None)?.is_some() {
+    if try_snapshot_restore(&mut cache, path, None)?.is_some() {
+        let recovery = RecoveryStats {
+            snapshot_loaded: 1,
+            ..RecoveryStats::default()
+        };
         return Ok((cache, recovery));
     }
     let recovery = replay_log_into(&mut cache, path)?;
@@ -277,16 +237,22 @@ pub fn load_cache_with_report(
 }
 
 /// Replays the entry log at `path` into `cache` (parents before children, so
-/// a partially written log never leaves a dangling reference), returning the
+/// a partially read log never leaves a dangling reference), returning the
 /// log's crash-recovery stats.
 fn replay_log_into(cache: &mut MeanCache, path: &Path) -> Result<RecoveryStats> {
-    let disk = DiskStore::open(path)?;
-    let mut entries: Vec<_> = disk.iter().cloned().collect();
+    let (mut entries, recovery) = mc_store::read_entry_log(path)?;
     entries.sort_by_key(|e| (e.parent.is_some(), e.id));
     for entry in entries {
         cache.restore_entry(entry)?;
     }
-    Ok(disk.recovery_stats())
+    Ok(recovery)
+}
+
+/// Atomically replaces the JSON sidecar at `path` with `value`.
+fn write_json_sidecar(path: &Path, value: &impl Serialize) -> Result<()> {
+    let json =
+        serde_json::to_string(value).map_err(|e| CacheError::InvalidConfig(e.to_string()))?;
+    mc_store::atomic_write(path, &[json.as_bytes()]).map_err(CacheError::from)
 }
 
 /// Path of the JSON configuration sidecar for the log at `path`.
@@ -310,10 +276,10 @@ fn config_sidecar(path: &Path) -> PathBuf {
 /// Propagates storage/IO failures.
 pub fn save_cache_with_config(cache: &MeanCache, path: &Path) -> Result<()> {
     save_cache(cache, path)?;
-    let json = serde_json::to_string(&cache.config().clone().with_shards(1))
-        .map_err(|e| CacheError::InvalidConfig(e.to_string()))?;
-    std::fs::write(config_sidecar(path), json).map_err(mc_store::StoreError::from)?;
-    Ok(())
+    write_json_sidecar(
+        &config_sidecar(path),
+        &cache.config().clone().with_shards(1),
+    )
 }
 
 /// Restores a cache saved by [`save_cache_with_config`]: reads the config
@@ -388,10 +354,7 @@ fn save_routing_sidecar(cache: &ShardedCache, path: &Path) -> Result<()> {
             .collect(),
         counts,
     };
-    let json =
-        serde_json::to_string(&sidecar).map_err(|e| CacheError::InvalidConfig(e.to_string()))?;
-    std::fs::write(sidecar_path, json).map_err(mc_store::StoreError::from)?;
-    Ok(())
+    write_json_sidecar(&sidecar_path, &sidecar)
 }
 
 /// Restores the routing sidecar into `cache`, if one exists.
@@ -476,10 +439,7 @@ pub fn save_sharded_cache_tagged(
         }
     }
     save_routing_sidecar(cache, path)?;
-    let json = serde_json::to_string(cache.config())
-        .map_err(|e| CacheError::InvalidConfig(e.to_string()))?;
-    std::fs::write(config_sidecar(path), json).map_err(mc_store::StoreError::from)?;
-    Ok(())
+    write_json_sidecar(&config_sidecar(path), cache.config())
 }
 
 /// Restores a cache saved by [`save_sharded_cache_with_config`]: reads the
@@ -499,17 +459,14 @@ pub fn load_sharded_cache_with_config(encoder: QueryEncoder, path: &Path) -> Res
 
 /// [`load_sharded_cache_with_config`], additionally aggregating the
 /// recovery report across every shard: how many shards restored from their
-/// mapped snapshot ([`RecoveryStats::snapshot_loaded`]), how many log-tail
-/// records were replayed on top of snapshots
-/// ([`RecoveryStats::wal_tail_replayed`]), and the classic replay stats
-/// (records replayed, torn tail bytes truncated) for shards that fell back
-/// to full log replay — so callers, the serve layer in particular, can
+/// mapped snapshot ([`RecoveryStats::snapshot_loaded`]), and the replay
+/// stats (records replayed, torn tail bytes dropped) for shards that fell
+/// back to full log replay — so callers, the serve layer in particular, can
 /// surface exactly how a restart recovered.
 ///
 /// Shards that fell back to log replay (typically a save written before
 /// the snapshot tier existed) get their snapshot written as part of the
-/// load when the config's [`SnapshotPolicy`] allows it, so the *second*
-/// restart takes the fast path.
+/// load, so the *second* restart takes the fast path.
 ///
 /// # Errors
 /// See [`load_sharded_cache_with_config`].
@@ -538,7 +495,6 @@ pub fn load_sharded_cache_tagged(
     load_routing_sidecar(&mut cache, path)?;
     let mut recovery = RecoveryStats::default();
     let mut pins: Vec<(u64, u64)> = Vec::new();
-    let mut all_snapshot = true;
     let mut replayed_shards: Vec<usize> = Vec::new();
     for shard in 0..cache.shard_count() {
         let log = shard_log_path(path, shard);
@@ -550,19 +506,21 @@ pub fn load_sharded_cache_tagged(
                 log.display()
             )));
         }
-        match try_snapshot_restore(cache.shard_cache_mut(shard), &log, &mut recovery, tenant)? {
-            Some(shard_pins) => pins.extend(shard_pins),
+        match try_snapshot_restore(cache.shard_cache_mut(shard), &log, tenant)? {
+            Some(shard_pins) => {
+                recovery.snapshot_loaded += 1;
+                pins.extend(shard_pins);
+            }
             None => {
-                all_snapshot = false;
                 replayed_shards.push(shard);
                 recovery.merge(replay_log_into(cache.shard_cache_mut(shard), &log)?);
             }
         }
     }
     if cache.routing() != RoutingMode::Hash {
-        if all_snapshot && recovery.wal_tail_replayed == 0 {
-            // Every shard restored from its snapshot with no log tail: the
-            // persisted pin slices union back into the exact saved table.
+        if replayed_shards.is_empty() {
+            // Every shard restored from its snapshot: the persisted pin
+            // slices union back into the exact saved table.
             cache.restore_root_pins(pins);
         } else {
             // The logs are the root → shard assignment; rebuild the pin
@@ -571,19 +529,15 @@ pub fn load_sharded_cache_tagged(
             cache.rebuild_pins();
         }
     }
-    // Legacy migration: give replayed shards a snapshot now so the next
-    // restart takes the fast path.
-    if cache.config().snapshot == SnapshotPolicy::Enabled {
-        for shard in replayed_shards {
-            let log = shard_log_path(path, shard);
-            let shard_pins = cache.root_pins_for_shard(shard);
-            let wal_len = std::fs::metadata(&log)
-                .map_err(mc_store::StoreError::from)?
-                .len();
-            cache.with_shard(shard, |inner| {
-                write_snapshot_for(inner, &log, wal_len, &shard_pins, tenant)
-            })?;
-        }
+    // Give replayed shards a snapshot now so the next restart takes the
+    // fast path.
+    for shard in replayed_shards {
+        let log = shard_log_path(path, shard);
+        let shard_pins = cache.root_pins_for_shard(shard);
+        let fingerprint = LogFingerprint::of_file(&log)?;
+        cache.with_shard(shard, |inner| {
+            write_snapshot_for(inner, &log, fingerprint, &shard_pins, tenant)
+        })?;
     }
     Ok((cache, recovery))
 }
@@ -729,7 +683,7 @@ mod tests {
 
         // A directory squatting on the first shard's temp path fails the
         // second save before it has replaced anything.
-        let squatter = PathBuf::from(format!("{}.compact", shard_log_path(&path, 0).display()));
+        let squatter = PathBuf::from(format!("{}.tmp", shard_log_path(&path, 0).display()));
         std::fs::create_dir(&squatter).unwrap();
         assert!(save_sharded_cache_with_config(&filled("second"), &path).is_err());
 
@@ -962,46 +916,9 @@ mod tests {
             report.snapshot_loaded, 1,
             "load must take the snapshot path"
         );
-        assert_eq!(report.wal_tail_replayed, 0);
         assert_eq!(restored.len(), 20);
         let mut restored = restored;
         assert!(restored.lookup("snapshot subject 7", &[]).is_hit());
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(snapshot_path(&path)).ok();
-    }
-
-    #[test]
-    fn log_tail_past_the_snapshot_replays_on_top() {
-        let path = temp_path("snap_tail");
-        let mut cache = fresh_cache();
-        cache.insert("the original entry", "resp", &[]).unwrap();
-        save_cache(&cache, &path).unwrap();
-
-        // The log grows past the snapshot (e.g. a crash before re-saving):
-        // append two more inserts directly.
-        let encoder = QueryEncoder::new(ModelProfile::tiny(), 11).unwrap();
-        let mut disk = mc_store::DiskStore::open(&path).unwrap();
-        for (id, q) in [(100, "a tail entry"), (101, "another tail entry")] {
-            let embedding = encoder.encode(q);
-            disk.insert(mc_store::CacheEntry::new(
-                id,
-                q.to_string(),
-                "tail resp".to_string(),
-                embedding,
-                None,
-                7,
-            ))
-            .unwrap();
-        }
-        drop(disk);
-
-        let (restored, report) = load_cache_with_report(fresh_cache(), &path).unwrap();
-        assert_eq!(report.snapshot_loaded, 1);
-        assert_eq!(report.wal_tail_replayed, 2);
-        assert_eq!(restored.len(), 3);
-        let mut restored = restored;
-        assert!(restored.lookup("a tail entry", &[]).is_hit());
-        assert!(restored.lookup("the original entry", &[]).is_hit());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(snapshot_path(&path)).ok();
     }
@@ -1040,38 +957,6 @@ mod tests {
             .any(|e| e.query == "completely different"));
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&snap).ok();
-    }
-
-    #[test]
-    fn snapshot_policy_disabled_skips_and_removes_snapshots() {
-        use crate::SnapshotPolicy;
-        let path = temp_path("snap_disabled");
-        let encoder = QueryEncoder::new(ModelProfile::tiny(), 11).unwrap();
-        let enabled = MeanCacheConfig::default().with_threshold(0.6);
-        let mut cache = MeanCache::new(encoder.clone(), enabled.clone()).unwrap();
-        cache.insert("some entry", "resp", &[]).unwrap();
-        save_cache(&cache, &path).unwrap();
-        assert!(snapshot_path(&path).exists());
-
-        // Re-saving with snapshots disabled removes the stale sidecar.
-        let disabled = enabled.clone().with_snapshot(SnapshotPolicy::Disabled);
-        let mut cache = MeanCache::new(encoder.clone(), disabled.clone()).unwrap();
-        cache.insert("some entry", "resp", &[]).unwrap();
-        save_cache(&cache, &path).unwrap();
-        assert!(
-            !snapshot_path(&path).exists(),
-            "disabled policy must remove the stale snapshot"
-        );
-
-        // A disabled loader ignores a snapshot even when one exists.
-        let mut cache = MeanCache::new(encoder.clone(), enabled.clone()).unwrap();
-        cache.insert("some entry", "resp", &[]).unwrap();
-        save_cache(&cache, &path).unwrap();
-        let template = MeanCache::new(encoder, disabled).unwrap();
-        let (_, report) = load_cache_with_report(template, &path).unwrap();
-        assert_eq!(report.snapshot_loaded, 0);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(snapshot_path(&path)).ok();
     }
 
     #[test]

@@ -303,14 +303,14 @@ fn build_cache(args: &Args) -> (ShardedCache, RecoveryStats) {
                     std::process::exit(2);
                 });
             let restore_elapsed = restore_start.elapsed();
-            // Which leg of the restore decision tree ran (see
-            // docs/FORMAT.md §7): mmap snapshot + WAL tail, or log replay.
+            // Which of the two restore states ran (see docs/FORMAT.md §7):
+            // mmap snapshot, or log replay.
             let via = if recovery.snapshot_loaded > 0 {
                 format!(
-                    "{}/{} shards via mmap snapshot, {} tail records replayed",
+                    "{}/{} shards via mmap snapshot, {} records replayed for the rest",
                     recovery.snapshot_loaded,
                     restored.shard_count(),
-                    recovery.wal_tail_replayed,
+                    recovery.records_replayed,
                 )
             } else {
                 format!("log replay, {} records", recovery.records_replayed)

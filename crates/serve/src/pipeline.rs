@@ -869,8 +869,7 @@ fn persist_all(tenants: &TenantedCache, path: &Path) -> meancache::Result<u64> {
         .collect();
     let text =
         serde_json::to_string(&manifest).map_err(|e| CacheError::InvalidConfig(e.to_string()))?;
-    std::fs::write(tenant_manifest_path(path), text)
-        .map_err(|e| CacheError::Store(StoreError::Io(e)))?;
+    mc_store::atomic_write(&tenant_manifest_path(path), &[text.as_bytes()])?;
     Ok(saved)
 }
 

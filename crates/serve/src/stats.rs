@@ -64,6 +64,7 @@ pub struct ServeMetrics {
     idle_reaped: AtomicU64,
     recovered_records: AtomicU64,
     recovered_bytes_truncated: AtomicU64,
+    restore_snapshot_shards: AtomicU64,
     batch_hist: [AtomicU64; BATCH_HIST_BUCKETS],
     latency: LatencyHistogram,
     /// When this metrics plane was created (= server start, for uptime).
@@ -103,6 +104,7 @@ impl Default for ServeMetrics {
             idle_reaped: AtomicU64::new(0),
             recovered_records: AtomicU64::new(0),
             recovered_bytes_truncated: AtomicU64::new(0),
+            restore_snapshot_shards: AtomicU64::new(0),
             batch_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             latency: LatencyHistogram::default(),
             started: Instant::now(),
@@ -245,14 +247,16 @@ impl ServeMetrics {
         self.idle_reaped.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Folds what log recovery replayed (and truncated) at startup into the
-    /// stats plane — covers both the snapshot's entry logs and the serve
-    /// WAL.
+    /// Folds what a restore did at startup into the stats plane: shards
+    /// restored from their snapshot, and what replay — of the other shards'
+    /// entry logs and of the serve WAL — replayed and dropped.
     pub fn record_recovery(&self, stats: RecoveryStats) {
         self.recovered_records
             .fetch_add(stats.records_replayed, Ordering::Relaxed);
         self.recovered_bytes_truncated
             .fetch_add(stats.bytes_truncated, Ordering::Relaxed);
+        self.restore_snapshot_shards
+            .fetch_add(stats.snapshot_loaded, Ordering::Relaxed);
     }
 
     /// Records one request's admission-to-resolution latency.
@@ -492,13 +496,17 @@ pub struct ServeStatsSnapshot {
     /// Idle connections reaped by the event loop.
     #[serde(default)]
     pub idle_reaped: u64,
-    /// Log records (snapshot entry logs + serve WAL) replayed by crash
-    /// recovery at startup.
+    /// Log records (entry logs of replayed shards + serve WAL) replayed by
+    /// crash recovery at startup.
     #[serde(default)]
     pub recovered_records: u64,
-    /// Bytes of torn or corrupt log tail truncated by recovery at startup.
+    /// Bytes of torn or corrupt log tail dropped by recovery at startup.
     #[serde(default)]
     pub recovered_bytes_truncated: u64,
+    /// Shards (across tenants) the startup restore took from their mapped
+    /// snapshot; every other shard was replayed from its entry log.
+    #[serde(default)]
+    pub restore_snapshot_shards: u64,
     /// Embedding memo-cache hits (0 when the memo is disabled).
     #[serde(default)]
     pub memo_hits: u64,
@@ -620,6 +628,7 @@ impl ServeStatsSnapshot {
             idle_reaped: metrics.idle_reaped.load(Ordering::Relaxed),
             recovered_records: metrics.recovered_records.load(Ordering::Relaxed),
             recovered_bytes_truncated: metrics.recovered_bytes_truncated.load(Ordering::Relaxed),
+            restore_snapshot_shards: metrics.restore_snapshot_shards.load(Ordering::Relaxed),
             memo_hits: memo.as_ref().map_or(0, |m| m.hits),
             memo_misses: memo.as_ref().map_or(0, |m| m.misses),
             memo_evictions: memo.as_ref().map_or(0, |m| m.evictions),
@@ -739,6 +748,10 @@ impl ServeStatsSnapshot {
         gauge(
             "serve_recovered_bytes_truncated",
             self.recovered_bytes_truncated as f64,
+        );
+        gauge(
+            "serve_restore_snapshot_shards",
+            self.restore_snapshot_shards as f64,
         );
         gauge("serve_batches_total", self.batches as f64);
         gauge("serve_avg_batch", self.avg_batch);

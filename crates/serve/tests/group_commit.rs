@@ -18,7 +18,7 @@ use mc_serve::{
     WalOp,
 };
 use mc_store::failpoints::{self, FailAction};
-use mc_store::wal::{read_records_from, MAGIC};
+use mc_store::wal::read_records;
 use mc_store::FsyncPolicy;
 use meancache::{MeanCacheConfig, ShardedCache, DEFAULT_TENANT};
 
@@ -118,8 +118,8 @@ impl Fixture {
 
     /// Records in the WAL file as it stands, read without opening it.
     fn wal_records(&self) -> usize {
-        let (records, torn) = read_records_from(&self.wal, MAGIC.len() as u64).unwrap();
-        assert_eq!(torn, 0, "the WAL has a torn tail");
+        let (records, stats) = read_records(&self.wal).unwrap();
+        assert_eq!(stats.bytes_truncated, 0, "the WAL has a torn tail");
         records.len()
     }
 }

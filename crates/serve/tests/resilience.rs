@@ -1,6 +1,7 @@
 //! Fault-tolerance integration tests: request deadlines, panic isolation,
 //! Busy-storm client retries, idle-connection reaping, short-write
-//! tolerance on the socket, and serve-WAL replay after a simulated crash.
+//! tolerance on the socket, serve-WAL replay after a simulated crash, and a
+//! save that dies while replacing one of its JSON sidecars.
 //!
 //! These run against real servers on localhost TCP; the fault-injection
 //! points come from `mc_store::failpoints` (active here via this crate's
@@ -8,17 +9,21 @@
 
 use std::io::Read;
 use std::net::TcpStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mc_embedder::{ModelProfile, QueryEncoder};
 use mc_serve::wal::wal_path;
-use mc_serve::{Client, ClientConfig, ClientError, ErrorCode, ServeConfig, ServeWal, Server};
+use mc_serve::{
+    Client, ClientConfig, ClientError, ErrorCode, ServeConfig, ServePipeline, ServeReply,
+    ServeRequest, ServeTenant, ServeWal, Server,
+};
 use mc_store::failpoints::{self, FailAction};
 use mc_store::FsyncPolicy;
-use meancache::{MeanCacheConfig, ShardedCache};
+use meancache::persist::{load_sharded_cache_with_report, save_sharded_cache_with_config};
+use meancache::{MeanCacheConfig, RoutingMode, SemanticCache, ShardedCache};
 
 const SEED: u64 = 7;
 
@@ -281,5 +286,191 @@ fn crashed_wal_is_replayed_on_restart() {
     assert_eq!(stats.wal_replayed, 2, "both WAL ops counted as replayed");
     client.shutdown_server().unwrap();
     handle.wait();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Makes the next atomic replacement of `file` fail after its temp file is
+/// written and before the rename — what a crash at that point leaves behind.
+/// Returns the failpoint tag to clear.
+fn fail_next_replacement_of(file: &Path) -> String {
+    let tag = file.display().to_string();
+    failpoints::set_scoped(
+        "wal.sync",
+        &tag,
+        FailAction::ErrorOnNth {
+            n: 1,
+            kind: std::io::ErrorKind::Other,
+        },
+    );
+    tag
+}
+
+fn entry_set(cache: &ShardedCache) -> Vec<(String, String)> {
+    let mut all = Vec::new();
+    for shard in 0..cache.shard_count() {
+        cache.with_shard(shard, |inner| {
+            all.extend(
+                inner
+                    .entries()
+                    .map(|e| (e.query.clone(), e.response.clone())),
+            );
+        });
+    }
+    all.sort();
+    all
+}
+
+/// Saves a centroid-routed cache, changes what `P<suffix>` would record
+/// (`mutate` leaves the entries alone), and lets the next save die while
+/// replacing that sidecar: the sidecar keeps its bytes, and the save still
+/// loads with the entries, τ and routing it recorded.
+fn failed_sidecar_write_keeps_the_previous_save(suffix: &str, mutate: fn(&mut ShardedCache)) {
+    let dir = temp_dir("sidecar");
+    let base = dir.join("cache.log");
+    let sidecar = dir.join(format!("cache.log{suffix}"));
+    let encoder = QueryEncoder::new(ModelProfile::tiny(), SEED).unwrap();
+    let config = MeanCacheConfig::default()
+        .with_threshold(0.6)
+        .with_shards(3)
+        .with_routing(RoutingMode::Centroid);
+    let mut saved = ShardedCache::new(encoder.clone(), config).unwrap();
+    let roots: Vec<String> = (0..12).map(|i| format!("sidecar subject {i}")).collect();
+    saved.seed_centroids_from_texts(&roots).unwrap();
+    for root in &roots {
+        saved.insert(root, "kept", &[]).unwrap();
+    }
+    save_sharded_cache_with_config(&saved, &base).unwrap();
+    let before = std::fs::read(&sidecar).unwrap();
+    let fresh: Vec<String> = (0..40).map(|i| format!("fresh root {i}")).collect();
+    let routed = |cache: &ShardedCache| -> Vec<usize> {
+        fresh.iter().map(|q| cache.shard_of(q, &[])).collect()
+    };
+    let routed_before = routed(&saved);
+
+    mutate(&mut saved);
+    let tag = fail_next_replacement_of(&sidecar);
+    assert!(save_sharded_cache_with_config(&saved, &base).is_err());
+    failpoints::clear_scoped("wal.sync", &tag);
+
+    assert_eq!(std::fs::read(&sidecar).unwrap(), before);
+    let (loaded, report) = load_sharded_cache_with_report(encoder, &base).unwrap();
+    assert_eq!(report.snapshot_loaded, 3);
+    assert_eq!(entry_set(&loaded), entry_set(&saved));
+    assert!((loaded.threshold() - 0.6).abs() < 1e-6);
+    assert_eq!(routed(&loaded), routed_before);
+    // Once writes work again the sidecar does change.
+    save_sharded_cache_with_config(&saved, &base).unwrap();
+    assert_ne!(std::fs::read(&sidecar).unwrap(), before);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_config_sidecar_write_keeps_the_previous_save_loadable() {
+    failed_sidecar_write_keeps_the_previous_save(".config.json", |cache| {
+        cache.set_threshold(0.9);
+    });
+}
+
+#[test]
+fn failed_routing_sidecar_write_keeps_the_previous_centroids() {
+    failed_sidecar_write_keeps_the_previous_save(".routing.json", |cache| {
+        let other: Vec<String> = (0..12).map(|i| format!("reseed text {i}")).collect();
+        cache.seed_centroids_from_texts(&other).unwrap();
+    });
+}
+
+/// The same for `P.tenants.json`, through the server's own `Save`: the
+/// request fails, and a restart still finds every tenant's entries and
+/// invalidation epoch — by snapshot, which `/metrics` now says.
+#[test]
+fn failed_tenant_manifest_write_keeps_tenants_and_epochs() {
+    let dir = temp_dir("tenant_manifest");
+    let persist = dir.join("cache.log");
+    let manifest = dir.join("cache.log.tenants.json");
+    let config = ServeConfig {
+        persist_path: Some(persist.clone()),
+        tenants: vec![ServeTenant {
+            name: "acme".into(),
+            token: "secret".into(),
+            quota: 0,
+        }],
+        ..ServeConfig::default()
+    };
+    let ask = |pipeline: &ServePipeline, tenant: &str, request: ServeRequest| {
+        pipeline.submit_for(tenant, request, None).unwrap().wait()
+    };
+    let insert = |query: &str| ServeRequest::Insert {
+        query: query.into(),
+        response: format!("answer to {query}"),
+        context: vec![],
+    };
+    let lookup = |query: &str| ServeRequest::Lookup {
+        query: query.into(),
+        context: vec![],
+    };
+
+    let pipeline = ServePipeline::start(cache(2), &config).unwrap();
+    let default_tenant = pipeline.default_tenant().to_string();
+    let bump = ServeRequest::Invalidate {
+        tenant: "acme".into(),
+        epoch: 0,
+    };
+    assert_eq!(ask(&pipeline, "acme", bump), ServeReply::Invalidated(1));
+    for i in 0..4 {
+        let reply = ask(
+            &pipeline,
+            "acme",
+            insert(&format!("acme tenant subject {i}")),
+        );
+        assert!(matches!(reply, ServeReply::Inserted(_)), "{reply:?}");
+        let reply = ask(
+            &pipeline,
+            &default_tenant,
+            insert(&format!("default tenant subject {i}")),
+        );
+        assert!(matches!(reply, ServeReply::Inserted(_)), "{reply:?}");
+    }
+    let reply = ask(&pipeline, &default_tenant, ServeRequest::Save);
+    assert_eq!(reply, ServeReply::Saved(8));
+    let before = std::fs::read(&manifest).unwrap();
+
+    let tag = fail_next_replacement_of(&manifest);
+    let reply = ask(&pipeline, &default_tenant, ServeRequest::Save);
+    assert!(matches!(reply, ServeReply::Failed { .. }), "{reply:?}");
+    failpoints::clear_scoped("wal.sync", &tag);
+    pipeline.shutdown();
+    assert_eq!(std::fs::read(&manifest).unwrap(), before);
+
+    // Restart as the serve binary does: default tenant first, then start.
+    let encoder = QueryEncoder::new(ModelProfile::tiny(), SEED).unwrap();
+    let (restored, report) = load_sharded_cache_with_report(encoder, &persist).unwrap();
+    let config = ServeConfig {
+        restored: report,
+        ..config
+    };
+    let pipeline = ServePipeline::start(restored, &config).unwrap();
+    for i in 0..4 {
+        for (tenant, query) in [
+            ("acme", format!("acme tenant subject {i}")),
+            (&default_tenant, format!("default tenant subject {i}")),
+        ] {
+            match ask(&pipeline, tenant, lookup(&query)) {
+                ServeReply::Outcome(outcome) => assert!(outcome.is_hit(), "{tenant}: {query}"),
+                other => panic!("expected an outcome, got {other:?}"),
+            }
+        }
+    }
+    let ServeReply::Stats(stats) = ask(&pipeline, &default_tenant, ServeRequest::Stats) else {
+        panic!("expected stats");
+    };
+    let acme = stats.tenants.iter().find(|t| t.name == "acme").unwrap();
+    assert_eq!((acme.entries, acme.epoch), (4, 1));
+    assert_eq!(stats.restore_snapshot_shards, 4, "two tenants, two shards");
+    let ServeReply::MetricsText(text) = ask(&pipeline, &default_tenant, ServeRequest::Metrics)
+    else {
+        panic!("expected metrics");
+    };
+    assert!(text.contains("serve_restore_snapshot_shards 4"), "{text}");
+    pipeline.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

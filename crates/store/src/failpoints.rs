@@ -1,6 +1,6 @@
 //! Fault-injection points for crash and error-path testing.
 //!
-//! Production write paths (the framed WAL, the disk store, the serve
+//! Production write paths (the framed WAL, `atomic_write`, the serve
 //! socket pump) call [`write_hook`] before touching the real descriptor.
 //! When the `failpoints` feature is off (every release build), the hook is
 //! an `#[inline(always)]` no-op returning `None` — zero cost on the hot

@@ -10,8 +10,10 @@
 //!   and the access metadata eviction policies need.
 //! * [`policy`] — LRU / LFU / FIFO eviction.
 //! * [`memstore`] — a bounded in-memory store applying an eviction policy.
-//! * [`disk`] — a persistent append-only store (binary log + replay on open)
-//!   that survives process restarts, mirroring DiskCache's role.
+//! * [`disk`] — the persistent entry log, mirroring DiskCache's role: a
+//!   cache's entries dumped atomically to one checksummed file
+//!   ([`write_compacted_log`]) and read back ([`read_entry_log`]), plus
+//!   [`atomic_write`], the one way any persisted file is written whole.
 //! * [`index`] — the **vector-index seam**: the [`VectorIndex`] trait every
 //!   search backend implements (the moral equivalent of SBERT
 //!   `semantic_search`, which the paper notes handles up to ~1M cached
@@ -61,7 +63,7 @@ pub mod rows;
 pub mod snapshot;
 pub mod wal;
 
-pub use disk::{write_compacted_log, DiskStore};
+pub use disk::{atomic_write, read_entry_log, write_compacted_log};
 pub use entry::CacheEntry;
 pub use flat::{FlatIndex, DEFAULT_PARALLEL_SEARCH_THRESHOLD};
 pub use index::{AnyIndex, IndexKind, SearchHit, VectorIndex};
@@ -69,15 +71,13 @@ pub use ivf::{IvfConfig, IvfIndex, MAX_NLIST};
 pub use memstore::MemoryStore;
 pub use policy::EvictionPolicy;
 pub use rows::{Quantization, RowStore};
-pub use snapshot::{
-    load_snapshot, prefix_fingerprint, save_snapshot, RestoredSnapshot, SnapshotView,
-};
+pub use snapshot::{load_snapshot, save_snapshot, LogFingerprint, RestoredSnapshot, SnapshotView};
 pub use wal::{FramedLog, FsyncPolicy, RecoveryStats};
 
 /// Errors surfaced by the storage substrate.
 #[derive(Debug)]
 pub enum StoreError {
-    /// Underlying I/O failure (disk store only).
+    /// Underlying I/O failure (persisted files only).
     Io(std::io::Error),
     /// A record could not be encoded/decoded.
     Corrupt(String),

@@ -66,13 +66,6 @@ impl MemoryStore {
         self.capacity = capacity.max(1);
     }
 
-    /// Reserves room for at least `additional` more entries, so a bulk
-    /// restore (snapshot load, log replay) pays one allocation instead of
-    /// a rehash cascade.
-    pub fn reserve(&mut self, additional: usize) {
-        self.entries.reserve(additional);
-    }
-
     /// Bulk-inserts `entries` without per-entry eviction checks. The caller
     /// must guarantee the ids are unique and `len() + entries.len()` stays
     /// within capacity — under those preconditions this is behaviourally

@@ -1,10 +1,10 @@
 //! `MCSNAP01` — the versioned, mmap-able snapshot container behind instant
 //! restarts.
 //!
-//! A [`crate::DiskStore`] entry log is replayed one framed record at a time:
-//! decode, re-quantise, re-insert — O(n) work that at 100k+ entries (and an
-//! IVF index re-training as it grows) turns a restart into seconds or
-//! minutes. A snapshot is the opposite trade: the exact arenas the index
+//! An entry log ([`crate::read_entry_log`]) is replayed one framed record at
+//! a time: decode, re-quantise, re-insert — O(n) work that at 100k+ entries
+//! (and an IVF index re-training as it grows) turns a restart into seconds
+//! or minutes. A snapshot is the opposite trade: the exact arenas the index
 //! already holds — SQ8 codes, `f32` rows, id tables, IVF centroids and
 //! posting lists — written once in their in-memory layout, so a restore is
 //! `mmap(2)` + checksum + pointer fixup, **zero-copy** over the file. The
@@ -21,13 +21,12 @@
 //! as an error and unknown *section kinds* as ignorable — see the
 //! compatibility rules in the spec.
 //!
-//! Snapshots are written with the same atomic discipline as log compaction
-//! (temp file + `fsync` + rename + parent-directory sync), so a crash
-//! mid-write leaves the previous snapshot (or none) — never a torn one. A
-//! snapshot also records the entry-log length it captured plus two CRC
-//! fingerprints of that log prefix, which is what lets the persistence
-//! layer replay only the **WAL tail** (records appended after the snapshot)
-//! on restore — see `meancache::persist`.
+//! Snapshots are written through [`crate::atomic_write`], like the entry
+//! log they accompany, so a crash mid-write leaves the previous snapshot (or
+//! none) — never a torn one. A snapshot also records the [`LogFingerprint`]
+//! of the entry log it was written with; the persistence layer restores from
+//! it only while the log on disk is still exactly that dump, and replays the
+//! log otherwise — see `meancache::persist`.
 //!
 //! # Save → mmap-load round trip
 //!
@@ -77,8 +76,8 @@
 //! ```
 
 use std::borrow::Cow;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -151,8 +150,8 @@ pub const SEC_IVF_SQ8_MINS: u32 = 26;
 
 const ENTRY_META_BYTES: usize = 48;
 const INDEX_META_BYTES: usize = 48;
-/// How much of the captured log prefix each fingerprint CRC covers.
-const FINGERPRINT_SPAN: u64 = 4096;
+/// How much of the log each [`LogFingerprint`] CRC covers.
+const FINGERPRINT_SPAN: usize = 4096;
 
 /// Borrowed view of everything one snapshot persists.
 ///
@@ -168,14 +167,11 @@ pub struct SnapshotView<'a> {
     /// Conversation-root shard pins `(root_hash, shard)` owned by this
     /// snapshot's shard (empty for unsharded caches / hash routing).
     pub pins: &'a [(u64, u64)],
-    /// Byte length of the entry log at snapshot time (everything past this
-    /// offset is tail, replayed on restore).
+    /// [`LogFingerprint::len`] of the entry log this snapshot accompanies.
     pub wal_len: u64,
-    /// CRC32 of the first `min(4096, wal_len)` bytes of the captured log
-    /// prefix (see [`prefix_fingerprint`]).
+    /// [`LogFingerprint::head_crc`] of that log.
     pub wal_head_crc: u32,
-    /// CRC32 of the last `min(4096, wal_len)` bytes of the captured log
-    /// prefix.
+    /// [`LogFingerprint::tail_crc`] of that log.
     pub wal_tail_crc: u32,
     /// Owning tenant, written as a [`SEC_TENANT_TAG`] section when `Some`.
     /// `None` (the default tenant) keeps the file byte-identical to
@@ -192,11 +188,11 @@ pub struct RestoredSnapshot {
     pub index: AnyIndex,
     /// Conversation-root shard pins `(root_hash, shard)`.
     pub pins: Vec<(u64, u64)>,
-    /// Entry-log length the snapshot captured.
+    /// [`LogFingerprint::len`] recorded at save time.
     pub wal_len: u64,
-    /// Log-prefix head fingerprint recorded at save time.
+    /// [`LogFingerprint::head_crc`] recorded at save time.
     pub wal_head_crc: u32,
-    /// Log-prefix tail fingerprint recorded at save time.
+    /// [`LogFingerprint::tail_crc`] recorded at save time.
     pub wal_tail_crc: u32,
     /// `true` when the arenas borrow a live `mmap` (zero-copy), `false` on
     /// the heap fallback.
@@ -444,10 +440,9 @@ fn build_sections<'a>(view: &'a SnapshotView<'a>) -> Result<Vec<Section<'a>>> {
     Ok(sections)
 }
 
-/// Writes an [`MCSNAP01`](self) snapshot of `view` to `path`, atomically:
-/// the bytes land in a sibling temp file which is fsynced, renamed over
-/// `path`, and the parent directory synced — a crash mid-save leaves the
-/// previous snapshot (or none), never a torn file.
+/// Writes an [`MCSNAP01`](self) snapshot of `view` to `path`, atomically
+/// ([`crate::atomic_write`]) — a crash mid-save leaves the previous
+/// snapshot (or none), never a torn file.
 ///
 /// # Errors
 /// Returns [`StoreError::Io`] on filesystem failures and
@@ -488,67 +483,59 @@ pub fn save_snapshot(path: &Path, view: &SnapshotView<'_>) -> Result<()> {
     header.extend_from_slice(&header_crc.to_le_bytes());
     debug_assert_eq!(header.len(), HEADER_LEN);
 
-    // Atomic temp + fsync + rename + directory sync.
-    let file_name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .ok_or_else(|| StoreError::InvalidConfig(format!("bad snapshot path {path:?}")))?;
-    let tmp = path.with_file_name(format!("{file_name}.tmp"));
-    {
-        let mut out = std::io::BufWriter::new(
-            OpenOptions::new()
-                .create(true)
-                .write(true)
-                .truncate(true)
-                .open(&tmp)?,
-        );
-        out.write_all(&header)?;
-        out.write_all(&table)?;
-        const ZEROS: [u8; SECTION_ALIGN] = [0; SECTION_ALIGN];
-        for (section, &pad) in sections.iter().zip(&layout) {
-            out.write_all(&ZEROS[..pad])?;
-            for chunk in &section.chunks {
-                out.write_all(chunk)?;
-            }
-        }
-        let file = out
-            .into_inner()
-            .map_err(|e| StoreError::Io(e.into_error()))?;
-        file.sync_all()?;
+    const ZEROS: [u8; SECTION_ALIGN] = [0; SECTION_ALIGN];
+    let mut parts: Vec<&[u8]> = vec![&header, &table];
+    for (section, &pad) in sections.iter().zip(&layout) {
+        parts.push(&ZEROS[..pad]);
+        parts.extend(section.chunks.iter().map(|chunk| &**chunk));
     }
-    std::fs::rename(&tmp, path)?;
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            if let Ok(dir) = File::open(parent) {
-                dir.sync_all().ok();
-            }
-        }
-    }
-    Ok(())
+    crate::atomic_write(path, &parts)
 }
 
-/// CRC fingerprints of the first and last `min(4096, len)` bytes of the
-/// `len`-byte prefix of the file at `path` — how a snapshot later proves
-/// the log it captured was not rewritten underneath it.
-///
-/// Returns `None` when the file is shorter than `len` (the log shrank: the
-/// snapshot's history claim cannot hold).
-///
-/// # Errors
-/// Returns [`StoreError::Io`] when the file cannot be read.
-pub fn prefix_fingerprint(path: &Path, len: u64) -> Result<Option<(u32, u32)>> {
-    let mut file = File::open(path)?;
-    if file.metadata()?.len() < len {
-        return Ok(None);
+/// What a snapshot remembers of the entry log it was written with: the
+/// log's length and the CRC32 of its first and of its last
+/// `min(4096, len)` bytes. A save rewrites the log whole, so a log that
+/// still has this fingerprint is the dump the snapshot accompanied; any
+/// other log — rewritten, grown, shortened — is restored by replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LogFingerprint {
+    /// Byte length of the log.
+    pub len: u64,
+    /// CRC32 of the first `min(4096, len)` bytes.
+    pub head_crc: u32,
+    /// CRC32 of the last `min(4096, len)` bytes.
+    pub tail_crc: u32,
+}
+
+impl LogFingerprint {
+    /// Fingerprint of a log held in memory.
+    pub fn of_bytes(log: &[u8]) -> Self {
+        let span = log.len().min(FINGERPRINT_SPAN);
+        Self {
+            len: log.len() as u64,
+            head_crc: crate::wal::crc32(&log[..span]),
+            tail_crc: crate::wal::crc32(&log[log.len() - span..]),
+        }
     }
-    let span = len.min(FINGERPRINT_SPAN);
-    let mut buf = vec![0u8; span as usize];
-    file.read_exact(&mut buf)?;
-    let head = crate::wal::crc32(&buf);
-    file.seek(SeekFrom::Start(len - span))?;
-    file.read_exact(&mut buf)?;
-    let tail = crate::wal::crc32(&buf);
-    Ok(Some((head, tail)))
+
+    /// Fingerprint of the log at `path`, reading only the two spans.
+    ///
+    /// # Errors
+    /// Returns [`StoreError::Io`] when the file cannot be read.
+    pub fn of_file(path: &Path) -> Result<Self> {
+        let mut file = File::open(path)?;
+        let len = file.metadata()?.len();
+        let mut buf = vec![0u8; len.min(FINGERPRINT_SPAN as u64) as usize];
+        file.read_exact(&mut buf)?;
+        let head_crc = crate::wal::crc32(&buf);
+        file.seek(SeekFrom::End(-(buf.len() as i64)))?;
+        file.read_exact(&mut buf)?;
+        Ok(Self {
+            len,
+            head_crc,
+            tail_crc: crate::wal::crc32(&buf),
+        })
+    }
 }
 
 // ---- loader ----------------------------------------------------------------
@@ -1281,25 +1268,35 @@ mod tests {
     }
 
     #[test]
-    fn prefix_fingerprint_tracks_the_prefix() {
+    fn log_fingerprint_tracks_length_head_and_tail() {
         let path = temp_path("fingerprint");
-        std::fs::write(&path, vec![7u8; 10_000]).unwrap();
-        let full = prefix_fingerprint(&path, 10_000).unwrap().unwrap();
-        let prefix = prefix_fingerprint(&path, 5_000).unwrap().unwrap();
-        assert_ne!(full.1, 0);
-        // Same leading 4 KiB, different prefix end.
-        assert_eq!(full.0, prefix.0);
-        // A too-short file cannot satisfy the claim.
-        assert!(prefix_fingerprint(&path, 10_001).unwrap().is_none());
-        // Appending does not change the claimed prefix's fingerprints.
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes.extend_from_slice(&[9u8; 100]);
-        std::fs::write(&path, &bytes).unwrap();
-        assert_eq!(prefix_fingerprint(&path, 10_000).unwrap().unwrap(), full);
-        // Rewriting the prefix does.
-        bytes[9_999] ^= 0xFF;
-        std::fs::write(&path, &bytes).unwrap();
-        assert_ne!(prefix_fingerprint(&path, 10_000).unwrap().unwrap(), full);
+        let pristine = vec![7u8; 10_000];
+        std::fs::write(&path, &pristine).unwrap();
+        let full = LogFingerprint::of_file(&path).unwrap();
+        assert_eq!(full, LogFingerprint::of_bytes(&pristine));
+        assert_eq!(full.len, 10_000);
+        // A log that grew, shrank, or changed inside either span no longer
+        // matches; the file and the in-memory fingerprints keep agreeing.
+        let mut grown = pristine.clone();
+        grown.extend_from_slice(&[9u8; 100]);
+        let mut head_flip = pristine.clone();
+        head_flip[0] ^= 0xFF;
+        let mut tail_flip = pristine.clone();
+        tail_flip[9_999] ^= 0xFF;
+        // Shorter than one span: both CRCs cover the whole log.
+        let short = b"MCWAL001".to_vec();
+        for other in [
+            grown,
+            pristine[..9_000].to_vec(),
+            head_flip,
+            tail_flip,
+            short,
+        ] {
+            std::fs::write(&path, &other).unwrap();
+            let got = LogFingerprint::of_file(&path).unwrap();
+            assert_eq!(got, LogFingerprint::of_bytes(&other));
+            assert_ne!(got, full);
+        }
         std::fs::remove_file(&path).ok();
     }
 

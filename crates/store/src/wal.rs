@@ -1,9 +1,10 @@
 //! Crash-safe framed record log.
 //!
-//! Shared machinery for every append-only log in the system: the
-//! [`DiskStore`](crate::DiskStore) entry log (and therefore the per-shard
-//! entry logs `mc-core/persist` writes) and the serve-side operation WAL.
-//! The guarantees:
+//! The record framing both logs share: the serve-side operation WAL, which
+//! is appended to ([`FramedLog`]), and the per-shard entry logs
+//! `meancache::persist` writes, which are dumps — written whole by
+//! [`crate::write_compacted_log`], read back by [`crate::read_entry_log`],
+//! never appended to. The guarantees:
 //!
 //! * **Versioned framing.** A framed log starts with the 8-byte magic
 //!   [`MAGIC`] (`MCWAL001`); the trailing digits version the record layout
@@ -14,10 +15,10 @@
 //!   the kind byte and the payload. A flipped bit anywhere in a record is
 //!   detected on replay.
 //! * **Torn-tail recovery.** A crash mid-`write` leaves a partial final
-//!   record. [`FramedLog::open`] scans the longest valid prefix, truncates
-//!   the file back to it, and reports what it dropped in
-//!   [`RecoveryStats`]. Replay never panics and never yields a record whose
-//!   checksum does not match.
+//!   record. A reader scans the longest valid prefix and reports what it
+//!   dropped in [`RecoveryStats`]; [`FramedLog::open`] also truncates the
+//!   file back to that prefix so the next append lands after it. Replay
+//!   never panics and never yields a record whose checksum does not match.
 //! * **Configurable durability, applied per commit.** Writing a record
 //!   ([`FramedLog::stage`]) and forcing it to stable storage
 //!   ([`FramedLog::commit`]) are separate steps, so a caller holding several
@@ -32,8 +33,8 @@
 //!   semantics").
 
 use std::fs::{File, OpenOptions};
-use std::io::{ErrorKind, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::{ErrorKind, Write};
+use std::path::Path;
 use std::str::FromStr;
 
 use bytes::{Buf, Bytes};
@@ -115,22 +116,25 @@ impl FromStr for FsyncPolicy {
 }
 
 /// What a restore recovered (and dropped) while loading persisted state:
-/// filled by [`FramedLog::open`] replay, and extended by the snapshot tier
-/// (`meancache::persist`) when an [`MCSNAP01`](crate::snapshot) file served
-/// part of the load.
+/// filled by replay ([`FramedLog::open`], [`crate::read_entry_log`]), and by
+/// the snapshot tier (`meancache::persist`) when an
+/// [`MCSNAP01`](crate::snapshot) file served the load instead.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RecoveryStats {
     /// Checksummed records successfully replayed.
     pub records_replayed: u64,
-    /// Bytes truncated off the tail (torn final record or corrupt suffix).
+    /// Bytes dropped from the tail (torn final record or corrupt suffix):
+    /// truncated off the file by [`FramedLog::open`], left in place by the
+    /// read-only [`crate::read_entry_log`] and [`read_records`].
     pub bytes_truncated: u64,
     /// Logs (shards) whose state was restored from a mapped snapshot
     /// instead of full log replay. Serde-defaulted so reports serialised
     /// before the snapshot tier existed still deserialise.
     #[serde(default)]
     pub snapshot_loaded: u64,
-    /// Records newer than the snapshot that were replayed off the log tail
-    /// on top of a snapshot restore.
+    /// Always zero: a snapshot restores only over the exact dump it was
+    /// written with, so there is no tail to replay on top of one. Kept
+    /// because `benchmark/` reads it; goes with the next `[benchmark]` PR.
     #[serde(default)]
     pub wal_tail_replayed: u64,
 }
@@ -166,37 +170,17 @@ pub fn frame_record(buf: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     buf.extend_from_slice(payload);
 }
 
-/// Returns `true` when the file at `path` is (the prefix of) a framed log.
-///
-/// An empty or missing file counts as framed (a fresh log); a short file
-/// whose bytes prefix [`MAGIC`] counts as framed with a torn header. Any
+/// `true` when `raw` is (the prefix of) a framed log: empty (a fresh log),
+/// a strict prefix of [`MAGIC`] (a torn header) or starting with it. Any
 /// other leading bytes mean a pre-framing legacy log.
-///
-/// # Errors
-/// Returns [`StoreError::Io`] when the file cannot be read.
-pub fn is_framed(path: &Path) -> Result<bool> {
-    let mut file = match File::open(path) {
-        Ok(f) => f,
-        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(true),
-        Err(e) => return Err(e.into()),
-    };
-    let mut head = [0u8; 8];
-    let mut got = 0;
-    while got < head.len() {
-        match file.read(&mut head[got..]) {
-            Ok(0) => break,
-            Ok(n) => got += n,
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(head[..got] == MAGIC[..got])
+pub(crate) fn is_framed(raw: &[u8]) -> bool {
+    let head = raw.len().min(MAGIC.len());
+    raw[..head] == MAGIC[..head]
 }
 
 /// A checksummed append-only record log with torn-tail recovery.
 #[derive(Debug)]
 pub struct FramedLog {
-    path: PathBuf,
     file: File,
     policy: FsyncPolicy,
     /// Records staged since the last sync. Not counted under
@@ -214,7 +198,7 @@ impl FramedLog {
     /// # Errors
     /// Returns [`StoreError::Io`] on filesystem failures and
     /// [`StoreError::Corrupt`] when the file exists but is not a framed log
-    /// (no [`MAGIC`] header — see [`is_framed`] for legacy detection).
+    /// (no [`MAGIC`] header).
     pub fn open(
         path: impl AsRef<Path>,
         policy: FsyncPolicy,
@@ -225,42 +209,7 @@ impl FramedLog {
                 std::fs::create_dir_all(parent)?;
             }
         }
-        let raw = match std::fs::read(&path) {
-            Ok(raw) => raw,
-            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
-            Err(e) => return Err(e.into()),
-        };
-        let mut records = Vec::new();
-        let mut stats = RecoveryStats::default();
-        let valid_end = if raw.is_empty() {
-            // Fresh log: write the header below.
-            0
-        } else if raw.len() < MAGIC.len() || raw[..MAGIC.len()] != MAGIC[..] {
-            if raw.len() < MAGIC.len() && raw[..] == MAGIC[..raw.len()] {
-                // Torn header write: recover the empty log.
-                stats.bytes_truncated = raw.len() as u64;
-                0
-            } else {
-                return Err(StoreError::Corrupt(format!(
-                    "{} is not a framed log (missing {MAGIC:?} header)",
-                    path.display()
-                )));
-            }
-        } else {
-            let mut buf = Bytes::from(raw);
-            buf.advance(MAGIC.len());
-            let mut consumed = MAGIC.len();
-            loop {
-                let Some((record, frame)) = next_record(&mut buf) else {
-                    stats.bytes_truncated = buf.remaining() as u64;
-                    break;
-                };
-                consumed += frame;
-                stats.records_replayed += 1;
-                records.push(record);
-            }
-            consumed
-        };
+        let (records, stats, valid_end) = scan_file(&path)?;
         // Truncate the torn/corrupt tail (and write a missing header) so the
         // next append lands directly after the last valid record.
         let file = OpenOptions::new()
@@ -277,49 +226,17 @@ impl FramedLog {
         if actual_len > keep || valid_end == 0 {
             file.set_len(valid_end as u64)?;
         }
-        let tag = path.display().to_string();
         let mut log = Self {
-            path,
             file,
             policy,
             unsynced_appends: 0,
-            tag,
+            tag: path.display().to_string(),
         };
         if valid_end == 0 {
             log.write_frame(MAGIC)?;
             log.file.sync_data()?;
         }
         Ok((log, records, stats))
-    }
-
-    /// Opens an existing framed log for appending without replaying it.
-    ///
-    /// For use immediately after this module (or [`FramedLog::open`]) wrote
-    /// the file — e.g. re-attaching after a compaction rename.
-    ///
-    /// # Errors
-    /// Returns [`StoreError::Io`] on filesystem failures.
-    pub fn attach(path: impl AsRef<Path>, policy: FsyncPolicy) -> Result<Self> {
-        let path = path.as_ref().to_path_buf();
-        let file = OpenOptions::new().read(true).append(true).open(&path)?;
-        let tag = path.display().to_string();
-        Ok(Self {
-            path,
-            file,
-            policy,
-            unsynced_appends: 0,
-            tag,
-        })
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The active fsync policy.
-    pub fn policy(&self) -> FsyncPolicy {
-        self.policy
     }
 
     /// Appends one checksummed record, fsyncing per the configured policy:
@@ -571,45 +488,66 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     crc.finish()
 }
 
-/// Reads the checksum-valid framed records at byte offsets `>= offset` of
-/// the log at `path` — the **tail replay** primitive of a snapshot restore:
-/// a snapshot records the log length it captured, and everything appended
-/// after that offset is replayed on top of the mapped state.
-///
-/// Returns the records plus the torn bytes left after the last valid frame
-/// (0 for a clean tail; a torn tail here is not truncated — the next
-/// [`FramedLog::open`] owns repair).
+/// The bytes of the log at `path`; a missing file is an empty log.
+pub(crate) fn read_file(path: &Path) -> Result<Vec<u8>> {
+    match std::fs::read(path) {
+        Ok(raw) => Ok(raw),
+        Err(e) if e.kind() == ErrorKind::NotFound => Ok(Vec::new()),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// Scans the bytes of a framed log ([`is_framed`]): its checksum-valid
+/// records, what the scan dropped, and the byte length of the valid prefix
+/// — 0 when there is no header yet (empty file, torn header).
+pub(crate) fn scan(raw: Vec<u8>) -> (Vec<Record>, RecoveryStats, usize) {
+    let mut stats = RecoveryStats::default();
+    if raw.len() < MAGIC.len() {
+        stats.bytes_truncated = raw.len() as u64;
+        return (Vec::new(), stats, 0);
+    }
+    let mut buf = Bytes::from(raw);
+    buf.advance(MAGIC.len());
+    let mut records = Vec::new();
+    let mut valid_end = MAGIC.len();
+    while let Some((record, frame)) = next_record(&mut buf) {
+        valid_end += frame;
+        records.push(record);
+    }
+    stats.records_replayed = records.len() as u64;
+    stats.bytes_truncated = buf.remaining() as u64;
+    (records, stats, valid_end)
+}
+
+/// [`scan`] of the file at `path`, refusing one that is not a framed log.
+fn scan_file(path: &Path) -> Result<(Vec<Record>, RecoveryStats, usize)> {
+    let raw = read_file(path)?;
+    if !is_framed(&raw) {
+        return Err(StoreError::Corrupt(format!(
+            "{} is not a framed log (missing {MAGIC:?} header)",
+            path.display()
+        )));
+    }
+    Ok(scan(raw))
+}
+
+/// Reads the framed log at `path` without touching it: every
+/// checksum-valid record up to the first torn or corrupt frame, with the
+/// bytes after it counted in [`RecoveryStats::bytes_truncated`]. A missing
+/// file reads as an empty log.
 ///
 /// # Errors
 /// Returns [`StoreError::Io`] when the file cannot be read and
-/// [`StoreError::Corrupt`] when `offset` lies before the end of the
-/// [`MAGIC`] header or past the end of the file (the snapshot and the log
-/// disagree about history; callers fall back to full replay).
-pub fn read_records_from(path: &Path, offset: u64) -> Result<(Vec<Record>, u64)> {
-    if offset < MAGIC.len() as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "tail offset {offset} lies inside the {MAGIC:?} header"
-        )));
-    }
-    let raw = std::fs::read(path)?;
-    if offset > raw.len() as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "tail offset {offset} is past the end of the {}-byte log",
-            raw.len()
-        )));
-    }
-    let mut buf = Bytes::from(raw);
-    buf.advance(offset as usize);
-    let mut records = Vec::new();
-    while let Some((record, _)) = next_record(&mut buf) {
-        records.push(record);
-    }
-    Ok((records, buf.remaining() as u64))
+/// [`StoreError::Corrupt`] when it is not a framed log.
+pub fn read_records(path: &Path) -> Result<(Vec<Record>, RecoveryStats)> {
+    let (records, stats, _) = scan_file(path)?;
+    Ok((records, stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("mc_store_wal_tests");
@@ -780,7 +718,7 @@ mod tests {
         let (_, records, stats) = FramedLog::open(&path, FsyncPolicy::Never).unwrap();
         assert!(records.is_empty());
         assert_eq!(stats.bytes_truncated, 3);
-        assert!(is_framed(&path).unwrap());
+        assert_eq!(std::fs::read(&path).unwrap(), MAGIC);
         std::fs::remove_file(&path).ok();
     }
 
@@ -788,7 +726,6 @@ mod tests {
     fn non_framed_file_is_rejected_cleanly() {
         let path = temp_path("legacy");
         std::fs::write(&path, [5, 0, 0, 0, 1, 2, 3, 4, 5]).unwrap();
-        assert!(!is_framed(&path).unwrap());
         assert!(matches!(
             FramedLog::open(&path, FsyncPolicy::Never),
             Err(StoreError::Corrupt(_))
@@ -921,8 +858,8 @@ mod tests {
         }
         assert!(matches!(log.commit(), Err(StoreError::Io(_))));
         // The records were written whole: the log replays them as it stands.
-        let (records, torn) = read_records_from(&path, MAGIC.len() as u64).unwrap();
-        assert_eq!((records.len(), torn), (3, 0));
+        let (records, stats) = read_records(&path).unwrap();
+        assert_eq!((records.len(), stats.bytes_truncated), (3, 0));
         // The failed sync still owes those three; the next commit pays.
         log.stage(1, &[3]).unwrap();
         assert!(log.commit().unwrap());

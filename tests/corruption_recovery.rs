@@ -1,25 +1,26 @@
 //! Corruption-recovery properties for the persistence layer.
 //!
-//! The durability contract: opening an entry log — any entry log, however
+//! The durability contract: reading an entry log — any entry log, however
 //! mangled — must either recover a checksum-valid **prefix** of what was
 //! written or fail with a clean [`StoreError`]; it must never panic and
 //! never surface a corrupted entry. These tests attack a pristine save two
 //! ways (single byte flips at arbitrary offsets, truncation at arbitrary
-//! and at *every* offset) and check both the raw [`DiskStore`] layer and
-//! the full sharded-cache load path on top of it.
+//! and at *every* offset) and check both the raw [`read_entry_log`] layer
+//! and the full sharded-cache load path on top of it.
 //!
 //! The `MCSNAP01` snapshot sidecar (see `docs/FORMAT.md`) extends the
 //! contract rather than weakening it: snapshots are an *accelerator*, so a
 //! mangled or version-bumped snapshot over a pristine log must cost only
 //! restore speed — the load falls back to replay and recovers everything —
-//! and a snapshot plus a WAL tail must restore a cache that is
-//! decision-identical to replaying the whole log.
+//! and a log that is no longer the dump its snapshot was written with must
+//! restore by replay, exactly like a cache that never had a snapshot.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use mc_embedder::{ModelProfile, QueryEncoder};
-use mc_store::{CacheEntry, DiskStore, StoreError};
+use mc_store::wal::frame_record;
+use mc_store::{read_entry_log, write_compacted_log, CacheEntry, StoreError};
 use mc_tensor::Vector;
 use meancache::persist::{
     load_cache_with_report, load_sharded_cache_with_report, save_cache,
@@ -89,8 +90,7 @@ fn fixture() -> &'static Fixture {
             let path = dir.join(shard_log_name(shard));
             shard_logs.push(std::fs::read(&path).unwrap());
             shard_snaps.push(std::fs::read(snapshot_path(&path)).unwrap());
-            let store = DiskStore::open(&path).unwrap();
-            shard_entries.push(store.iter().cloned().collect());
+            shard_entries.push(read_entry_log(&path).unwrap().0);
         }
         std::fs::remove_dir_all(&dir).ok();
         Fixture {
@@ -144,14 +144,13 @@ fn materialize(tag: &str, fx: &Fixture, shard: usize, mutated: &[u8]) -> (PathBu
 /// Recovered entries must be an exact byte-level prefix of what the
 /// pristine log held — same ids, same contents, nothing reordered or
 /// mutated.
-fn assert_prefix_of_pristine(store: &DiskStore, pristine: &[CacheEntry]) {
-    let recovered: Vec<&CacheEntry> = store.iter().collect();
+fn assert_prefix_of_pristine(recovered: &[CacheEntry], pristine: &[CacheEntry]) {
     assert!(
         recovered.len() <= pristine.len(),
         "recovered more entries than were written"
     );
     for (got, want) in recovered.iter().zip(pristine) {
-        assert_eq!(*got, want, "recovered entry diverges from the pristine log");
+        assert_eq!(got, want, "recovered entry diverges from the pristine log");
     }
 }
 
@@ -173,9 +172,9 @@ fn assert_no_garbage_served(cache: &ShardedCache, fx: &Fixture) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// A single flipped byte anywhere in a shard log: the raw store open
-    /// recovers a checksum-valid prefix or fails cleanly, and the sharded
-    /// load on top never panics and never serves garbage.
+    /// A single flipped byte anywhere in a shard log: the raw read recovers
+    /// a checksum-valid prefix or fails cleanly, and the sharded load on top
+    /// never panics and never serves garbage.
     #[test]
     fn flipped_byte_recovers_prefix_or_fails_cleanly(
         shard in 0usize..SHARDS,
@@ -188,8 +187,8 @@ proptest! {
         bytes[offset] ^= mask;
 
         let (dir, base) = materialize("flip", fx, shard, &bytes);
-        match DiskStore::open(dir.join(shard_log_name(shard))) {
-            Ok(store) => assert_prefix_of_pristine(&store, &fx.shard_entries[shard]),
+        match read_entry_log(&dir.join(shard_log_name(shard))) {
+            Ok((entries, _)) => assert_prefix_of_pristine(&entries, &fx.shard_entries[shard]),
             Err(StoreError::Corrupt(_)) => {}
             Err(other) => panic!("byte flip must not produce {other:?}"),
         }
@@ -214,12 +213,12 @@ proptest! {
         let bytes = &full[..cut];
 
         let (dir, base) = materialize("cut", fx, shard, bytes);
-        let store = DiskStore::open(dir.join(shard_log_name(shard)))
+        let (entries, stats) = read_entry_log(&dir.join(shard_log_name(shard)))
             .expect("a truncated log is a torn tail, never a hard error");
-        assert_prefix_of_pristine(&store, &fx.shard_entries[shard]);
+        assert_prefix_of_pristine(&entries, &fx.shard_entries[shard]);
         prop_assert!(
-            store.recovery_stats().bytes_truncated <= cut as u64,
-            "cannot truncate more bytes than the file held"
+            stats.bytes_truncated <= cut as u64,
+            "cannot drop more bytes than the file held"
         );
         if let Ok((cache, _)) = load_sharded_cache_with_report(fx.encoder.clone(), &base) {
             assert_no_garbage_served(&cache, fx);
@@ -312,95 +311,124 @@ fn bumped_snapshot_version_is_rejected_cleanly() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The insert frames of a dump of `entries`: the file minus its 8-byte
+/// magic and its 17-byte footer frame.
+fn insert_frames_of(entries: &[CacheEntry], scratch: &std::path::Path) -> Vec<u8> {
+    write_compacted_log(scratch, entries.iter()).unwrap();
+    let dump = std::fs::read(scratch).unwrap();
+    dump[8..dump.len() - 17].to_vec()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Crash-window property: a snapshot plus however many inserts the log
-    /// gained afterwards must restore a cache that answers every probe —
-    /// snapshotted, tail-appended, or novel — exactly like a full log
-    /// replay of the same file.
+    /// Two-state property: a log that is no longer the dump its snapshot
+    /// was written with — valid records appended, the file rewritten, the
+    /// file shortened — restores by full replay, and answers every probe
+    /// exactly like the same log loaded with no snapshot beside it.
     #[test]
-    fn snapshot_plus_tail_restore_matches_full_replay(
+    fn log_that_left_its_snapshot_restores_by_full_replay(
         base_n in 4usize..20,
-        tail_n in 0usize..6,
+        change in 0usize..3,
+        extra_n in 1usize..6,
     ) {
         let fx = fixture();
-        let dir = scratch_dir("tail");
-        let path = dir.join("tail.log");
+        let dir = scratch_dir("stale");
+        let path = dir.join("stale.log");
         let config = MeanCacheConfig {
             capacity: 64,
             ..MeanCacheConfig::default().with_threshold(0.7)
         };
         let template = || MeanCache::new(fx.encoder.clone(), config.clone()).unwrap();
 
-        // A cache that saved a snapshot...
         let mut cache = template();
-        let base_query = |i: usize| format!("tail fixture base query {i} about subject {i}");
+        let base_query = |i: usize| format!("stale fixture base query {i} about subject {i}");
         for i in 0..base_n {
             cache.insert(&base_query(i), &format!("base response {i}"), &[]).unwrap();
         }
         save_cache(&cache, &path).unwrap();
-        // ...then the log gained inserts before the next snapshot (the
-        // crash window a graceful shutdown would have closed).
-        let tail_query =
-            |t: usize| format!("tail fixture appended probe {t} on an unrelated theme");
-        {
-            let mut disk = DiskStore::open(&path).unwrap();
-            for t in 0..tail_n {
-                let query = tail_query(t);
-                let embedding = fx.encoder.encode(&query);
+
+        let extra_query =
+            |t: usize| format!("stale fixture appended probe {t} on an unrelated theme");
+        let extra: Vec<CacheEntry> = (0..extra_n)
+            .map(|t| {
                 let id = (base_n + t) as u64;
-                disk.insert(CacheEntry::new(
-                    id,
-                    query,
-                    format!("tail response {t}"),
-                    embedding,
-                    None,
-                    id,
-                ))
-                .unwrap();
+                let embedding = fx.encoder.encode(&extra_query(t));
+                CacheEntry::new(id, extra_query(t), format!("extra response {t}"), embedding, None, id)
+            })
+            .collect();
+        let mut log = std::fs::read(&path).unwrap();
+        match change {
+            // Whole, checksum-valid frames after the dump's own footer.
+            0 => log.extend(insert_frames_of(&extra, &dir.join("frames.log"))),
+            // A different dump under the old snapshot.
+            1 => {
+                let mut entries = read_entry_log(&path).unwrap().0;
+                entries.extend(extra);
+                write_compacted_log(&path, entries.iter()).unwrap();
+                log = std::fs::read(&path).unwrap();
             }
+            // A torn tail.
+            _ => log.truncate(log.len() - extra_n * 7),
         }
+        std::fs::write(&path, &log).unwrap();
 
-        // Fast path: snapshot + tail replay.
-        let (mut via_snapshot, report) = load_cache_with_report(template(), &path).unwrap();
-        prop_assert_eq!(report.snapshot_loaded, 1, "snapshot restore must engage");
-        prop_assert_eq!(report.wal_tail_replayed, tail_n as u64);
-        // Reference: the same log replayed in full (no snapshot sidecar).
+        let (mut beside_snapshot, report) = load_cache_with_report(template(), &path).unwrap();
+        prop_assert_eq!(report.snapshot_loaded, 0, "a stale snapshot must not load");
+        // Reference: the same log with no snapshot sidecar.
         let replay_path = dir.join("replay.log");
-        std::fs::copy(&path, &replay_path).unwrap();
-        let (mut via_replay, report) = load_cache_with_report(template(), &replay_path).unwrap();
-        prop_assert_eq!(report.snapshot_loaded, 0, "reference must be a pure replay");
+        std::fs::write(&replay_path, &log).unwrap();
+        let (mut via_replay, reference) = load_cache_with_report(template(), &replay_path).unwrap();
+        prop_assert_eq!(report, reference);
 
-        prop_assert_eq!(SemanticCache::len(&via_replay), SemanticCache::len(&via_snapshot));
-        for i in 0..base_n {
-            let query = base_query(i);
-            prop_assert!(
-                via_replay.lookup(&query, &[]) == via_snapshot.lookup(&query, &[]),
-                "diverged on snapshotted entry {i}"
-            );
+        prop_assert_eq!(SemanticCache::len(&via_replay), SemanticCache::len(&beside_snapshot));
+        if change < 2 {
+            prop_assert_eq!(SemanticCache::len(&via_replay), base_n + extra_n);
         }
-        for t in 0..tail_n {
-            let query = tail_query(t);
+        let probes = (0..base_n)
+            .map(base_query)
+            .chain((0..extra_n).map(extra_query))
+            .chain((0..4).map(|p| format!("novel zzqx probe {p} matching nothing stored")));
+        for query in probes {
             prop_assert!(
-                via_replay.lookup(&query, &[]) == via_snapshot.lookup(&query, &[]),
-                "diverged on tail entry {t}"
-            );
-        }
-        for p in 0..4usize {
-            let query = format!("novel zzqx probe {p} matching nothing stored");
-            prop_assert!(
-                via_replay.lookup(&query, &[]) == via_snapshot.lookup(&query, &[]),
-                "diverged on novel probe {p}"
+                via_replay.lookup(&query, &[]) == beside_snapshot.lookup(&query, &[]),
+                "diverged on {query}"
             );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
 }
 
+/// The retired record kinds: a checksum-valid remove (kind 2) or touch
+/// (kind 3) record, at the head or the tail of a log, makes the read fail
+/// with `Corrupt` — it is neither applied nor skipped — and the full load
+/// fails cleanly with it.
+#[test]
+fn retired_record_kinds_are_corrupt() {
+    let fx = fixture();
+    let id = fx.shard_entries[0][0].id.to_le_bytes();
+    let touch = [id, 99u64.to_le_bytes(), 5u64.to_le_bytes()].concat();
+    for (kind, payload) in [(2u8, &id[..]), (3u8, &touch[..])] {
+        let mut frame = Vec::new();
+        frame_record(&mut frame, kind, payload);
+        let pristine = &fx.shard_logs[0];
+        let at_head = [&pristine[..8], &frame[..], &pristine[8..]].concat();
+        let at_tail = [&pristine[..], &frame[..]].concat();
+        for log in [at_head, at_tail] {
+            let (dir, base) = materialize("retired", fx, 0, &log);
+            match read_entry_log(&dir.join(shard_log_name(0))) {
+                Err(StoreError::Corrupt(_)) => {}
+                other => panic!("kind {kind} must be Corrupt, got {other:?}"),
+            }
+            assert!(load_sharded_cache_with_report(fx.encoder.clone(), &base).is_err());
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+}
+
 /// Exhaustive sweep: truncate a small single log at **every** byte offset.
-/// Uses a hand-built [`DiskStore`] (no encoder) so the log stays small
-/// enough to open a few thousand times.
+/// Uses a hand-built dump (no encoder) so the log stays small enough to read
+/// a few thousand times.
 #[test]
 fn truncation_at_every_offset_recovers_a_prefix() {
     let dir = scratch_dir("sweep");
@@ -417,29 +445,23 @@ fn truncation_at_every_offset_recovers_a_prefix() {
             )
         })
         .collect();
-    {
-        let mut store = DiskStore::open(&path).unwrap();
-        for entry in &pristine {
-            store.insert(entry.clone()).unwrap();
-        }
-    }
+    write_compacted_log(&path, pristine.iter()).unwrap();
     let full = std::fs::read(&path).unwrap();
     let victim = dir.join("victim.log");
     for cut in 0..full.len() {
         std::fs::write(&victim, &full[..cut]).unwrap();
-        let store = DiskStore::open(&victim)
+        let (recovered, _) = read_entry_log(&victim)
             .unwrap_or_else(|e| panic!("truncation at byte {cut} must recover, got {e}"));
-        let recovered: Vec<&CacheEntry> = store.iter().collect();
         assert!(
             recovered.len() <= pristine.len(),
             "offset {cut}: more entries than written"
         );
         for (got, want) in recovered.iter().zip(&pristine) {
-            assert_eq!(*got, want, "offset {cut}: recovered entry diverges");
+            assert_eq!(got, want, "offset {cut}: recovered entry diverges");
         }
     }
     // Sanity: the untouched log replays everything.
     std::fs::write(&victim, &full).unwrap();
-    assert_eq!(DiskStore::open(&victim).unwrap().len(), pristine.len());
+    assert_eq!(read_entry_log(&victim).unwrap().0, pristine);
     std::fs::remove_dir_all(&dir).ok();
 }
