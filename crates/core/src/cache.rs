@@ -339,6 +339,12 @@ impl MeanCache {
         self.stats.snapshot()
     }
 
+    /// Entries the store has evicted to make room for inserts. Entries
+    /// removed through [`MeanCache::remove_entry`] are not counted.
+    pub(crate) fn evictions(&self) -> u64 {
+        self.store.evictions()
+    }
+
     /// Name of the live vector-index backend (`"flat"`, `"flat-sq8"`,
     /// `"ivf"` or `"ivf-sq8"`).
     pub fn index_kind(&self) -> &'static str {
@@ -512,15 +518,9 @@ impl MeanCache {
         }
         self.index = index;
         let count = entries.len() as u64;
-        if self.store.is_empty() && entries.len() <= self.store.capacity() {
-            // A fresh store that everything fits into: ids are unique
-            // (snapshot rows), so no insert could evict — take the bulk path.
-            self.store.restore_bulk(entries);
-        } else {
-            for entry in entries {
-                if let Some(evicted) = self.store.insert(entry) {
-                    let _ = self.index.remove(evicted);
-                }
+        for entry in entries {
+            if let Some(evicted) = self.store.insert(entry) {
+                let _ = self.index.remove(evicted);
             }
         }
         AtomicCacheStats::bump(&self.stats.inserts, count);

@@ -245,8 +245,9 @@ pub struct ShardStat {
     pub hits: u64,
     /// Entries accepted by this shard.
     pub inserts: u64,
-    /// Inserted entries no longer resident (derived: `inserts −
-    /// occupancy`), i.e. evicted or replaced.
+    /// Entries the shard's store evicted to make room for inserts. Entries
+    /// removed any other way — a TTL or invalidation reclaim — are not
+    /// evictions.
     pub evictions: u64,
     /// Serving-path lock acquisitions that had to block.
     pub lock_contended: u64,
@@ -664,25 +665,24 @@ impl ShardedCache {
     }
 
     /// Per-shard dashboard counters: occupancy, recorded probes/hits,
-    /// inserts, derived evictions, and the contention telemetry the
-    /// tracked lock paths accumulate. Takes each shard's read lock briefly
-    /// (untracked, so polling stats never inflates the contention it
-    /// measures).
+    /// inserts, evictions, and the contention telemetry the tracked lock
+    /// paths accumulate. Takes each shard's read lock briefly (untracked,
+    /// so polling stats never inflates the contention it measures).
     pub fn shard_stats(&self) -> Vec<ShardStat> {
         self.shards
             .iter()
             .enumerate()
             .map(|(i, shard)| {
-                let (occupancy, stats) = {
+                let (occupancy, stats, evictions) = {
                     let guard = read(shard);
-                    (guard.len(), guard.stats())
+                    (guard.len(), guard.stats(), guard.evictions())
                 };
                 ShardStat {
                     occupancy,
                     probes: stats.lookups,
                     hits: stats.hits,
                     inserts: stats.inserts,
-                    evictions: stats.inserts.saturating_sub(occupancy as u64),
+                    evictions,
                     lock_contended: self.lock_contended[i].load(Ordering::Relaxed),
                     lock_wait_us: self.lock_wait_us[i].load(Ordering::Relaxed),
                 }
@@ -1569,6 +1569,30 @@ mod tests {
             .shard_stats()
             .iter()
             .all(|s| s == &ShardStat::default()));
+    }
+
+    #[test]
+    fn shard_stats_count_evictions_not_removals() {
+        let mut config = MeanCacheConfig::default()
+            .with_threshold(0.6)
+            .with_shards(2);
+        config.capacity = 8;
+        let mut cache = ShardedCache::new(encoder(), config).unwrap();
+        let inserts = 40;
+        for i in 0..inserts {
+            cache
+                .insert(&format!("distinct topic number {i}"), &format!("r{i}"), &[])
+                .unwrap();
+        }
+        assert_eq!(cache.shard_lens(), [4, 4], "both shards full");
+        let evicted = inserts - 8;
+        // A TTL or invalidation reclaim removes entries without evicting.
+        for id in cache.entry_ids().into_iter().take(3) {
+            assert!(cache.remove_public(id));
+        }
+        let stats = cache.shard_stats();
+        assert_eq!(stats.iter().map(|s| s.occupancy).sum::<usize>(), 5);
+        assert_eq!(stats.iter().map(|s| s.evictions).sum::<u64>(), evicted);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * [`entry`] — the cache record: query, response, embedding, context link,
 //!   and the access metadata eviction policies need.
 //! * [`policy`] — LRU / LFU / FIFO eviction.
-//! * [`memstore`] — a bounded in-memory store applying an eviction policy.
+//! * [`memstore`] — a bounded in-memory store applying an eviction policy,
+//!   with its entries kept in eviction order so an insert never scans.
 //! * [`disk`] — the persistent entry log, mirroring DiskCache's role: a
 //!   cache's entries dumped atomically to one checksummed file
 //!   ([`write_compacted_log`]) and read back ([`read_entry_log`]), plus

@@ -1,8 +1,122 @@
 //! Bounded in-memory cache store with pluggable eviction.
+//!
+//! The eviction rule: an insert into a full store evicts the entry with the
+//! smallest [`EvictionPolicy::key`] among those no resident entry names as
+//! its parent (so context chains never dangle), or the smallest over all
+//! entries when every one is named. The new entry's own parent link is
+//! counted only after the victim is chosen, so an insert may evict the very
+//! parent it links to. A parent id that is not resident pins nothing.
+//!
+//! The store keeps that order in an eviction index: two sorted sets of
+//! policy keys, *free* and *pinned*, and a count of resident children per
+//! parent id. The victim is the first free key, else the first pinned one,
+//! and every insert, touch and removal moves O(1) keys, so each costs
+//! O(log n). Only the whole-store accessors (`iter`, `ids`, the byte
+//! counts) iterate over the entries.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use crate::{CacheEntry, EvictionPolicy, Result, StoreError};
+
+/// A policy key, as [`EvictionPolicy::key`] returns it.
+type Key = (u64, u64, u64);
+
+/// The resident entries in eviction order, split by whether some resident
+/// entry names them as parent. Every resident entry's key is in exactly one
+/// of `free` and `pinned`: in `pinned` iff `children` counts it.
+#[derive(Debug, Clone)]
+struct EvictionIndex {
+    policy: EvictionPolicy,
+    /// Keys of entries no resident entry names as parent.
+    free: BTreeSet<Key>,
+    /// Keys of entries at least one resident entry names as parent.
+    pinned: BTreeSet<Key>,
+    /// How many resident entries name each id as parent, resident or not
+    /// (a parent that arrives later is pinned on arrival). No zero counts.
+    children: HashMap<u64, u32>,
+}
+
+impl EvictionIndex {
+    fn new(policy: EvictionPolicy) -> Self {
+        Self {
+            policy,
+            free: BTreeSet::new(),
+            pinned: BTreeSet::new(),
+            children: HashMap::new(),
+        }
+    }
+
+    /// The set holding `id`'s key.
+    fn set_of(&mut self, id: u64) -> &mut BTreeSet<Key> {
+        if self.children.contains_key(&id) {
+            &mut self.pinned
+        } else {
+            &mut self.free
+        }
+    }
+
+    /// The entry to evict: the first free key, else the first pinned one.
+    fn victim(&self) -> Option<u64> {
+        self.free
+            .first()
+            .or_else(|| self.pinned.first())
+            .map(|&(_, _, id)| id)
+    }
+
+    /// Indexes `entry`, which is about to join `entries` (it is not in it
+    /// yet), and counts its parent link.
+    fn admit(&mut self, entry: &CacheEntry, entries: &HashMap<u64, CacheEntry>) {
+        if let Some(parent) = entry.parent {
+            let count = self.children.entry(parent).or_insert(0);
+            *count += 1;
+            if *count == 1 {
+                if let Some(p) = entries.get(&parent) {
+                    let key = self.policy.key(p);
+                    self.free.remove(&key);
+                    self.pinned.insert(key);
+                }
+            }
+        }
+        let key = self.policy.key(entry);
+        self.set_of(entry.id).insert(key);
+    }
+
+    /// Drops `entry`, which has just left `entries`, and its parent link.
+    fn forget(&mut self, entry: &CacheEntry, entries: &HashMap<u64, CacheEntry>) {
+        let key = self.policy.key(entry);
+        self.set_of(entry.id).remove(&key);
+        let Some(parent) = entry.parent else {
+            return;
+        };
+        let Some(count) = self.children.get_mut(&parent) else {
+            return;
+        };
+        *count -= 1;
+        if *count == 0 {
+            self.children.remove(&parent);
+            if let Some(p) = entries.get(&parent) {
+                let key = self.policy.key(p);
+                self.pinned.remove(&key);
+                self.free.insert(key);
+            }
+        }
+    }
+
+    /// Moves resident entry `id` from key `old` to key `new`.
+    fn rekey(&mut self, id: u64, old: Key, new: Key) {
+        if old != new {
+            let set = self.set_of(id);
+            set.remove(&old);
+            set.insert(new);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.free.clear();
+        self.pinned.clear();
+        self.children.clear();
+    }
+}
 
 /// A bounded in-memory store of [`CacheEntry`] values.
 ///
@@ -12,8 +126,8 @@ use crate::{CacheEntry, EvictionPolicy, Result, StoreError};
 #[derive(Debug, Clone)]
 pub struct MemoryStore {
     entries: HashMap<u64, CacheEntry>,
+    index: EvictionIndex,
     capacity: usize,
-    policy: EvictionPolicy,
     clock: u64,
     next_id: u64,
     evictions: u64,
@@ -30,8 +144,8 @@ impl MemoryStore {
         }
         Ok(Self {
             entries: HashMap::with_capacity(capacity.min(4096)),
+            index: EvictionIndex::new(policy),
             capacity,
-            policy,
             clock: 0,
             next_id: 0,
             evictions: 0,
@@ -66,27 +180,9 @@ impl MemoryStore {
         self.capacity = capacity.max(1);
     }
 
-    /// Bulk-inserts `entries` without per-entry eviction checks. The caller
-    /// must guarantee the ids are unique and `len() + entries.len()` stays
-    /// within capacity — under those preconditions this is behaviourally
-    /// identical to calling [`MemoryStore::insert`] per entry (same clock
-    /// advance, same timestamp rewrite, same `next_id` bump, and no insert
-    /// could have evicted), just without the per-entry occupancy probe.
-    /// Used by the snapshot restore path.
-    pub fn restore_bulk(&mut self, entries: Vec<CacheEntry>) {
-        self.entries.reserve(entries.len());
-        for mut entry in entries {
-            self.clock += 1;
-            entry.inserted_at = self.clock;
-            entry.last_access = self.clock;
-            self.next_id = self.next_id.max(entry.id + 1);
-            self.entries.insert(entry.id, entry);
-        }
-    }
-
     /// The eviction policy in use.
     pub fn policy(&self) -> EvictionPolicy {
-        self.policy
+        self.index.policy
     }
 
     /// Number of evictions performed so far.
@@ -107,38 +203,39 @@ impl MemoryStore {
     }
 
     /// Inserts an entry, evicting according to the policy if the store is
-    /// full. Returns the id of the evicted entry, if any.
+    /// full. Returns the id of the evicted entry, if any. Re-inserting a
+    /// resident id replaces that entry and evicts nothing.
     ///
     /// Entries that are referenced as a *parent* by other cached entries are
     /// protected from eviction so context chains never dangle; if every
     /// entry is protected the insert still succeeds by evicting the policy's
-    /// choice among all entries.
+    /// choice among all entries. The module docs state the rule exactly.
     pub fn insert(&mut self, mut entry: CacheEntry) -> Option<u64> {
         self.clock += 1;
         entry.inserted_at = self.clock;
         entry.last_access = self.clock;
         self.next_id = self.next_id.max(entry.id + 1);
 
-        let mut evicted = None;
-        if !self.entries.contains_key(&entry.id) && self.entries.len() >= self.capacity {
-            let referenced: std::collections::HashSet<u64> =
-                self.entries.values().filter_map(|e| e.parent).collect();
-            let unreferenced = self
-                .entries
-                .values()
-                .filter(|e| !referenced.contains(&e.id));
-            let victim = self
-                .policy
-                .select_victim(unreferenced)
-                .or_else(|| self.policy.select_victim(self.entries.values()));
-            if let Some(victim_id) = victim {
-                self.entries.remove(&victim_id);
-                self.evictions += 1;
-                evicted = Some(victim_id);
-            }
-        }
+        let evicted = if let Some(old) = self.entries.remove(&entry.id) {
+            self.index.forget(&old, &self.entries);
+            None
+        } else if self.entries.len() >= self.capacity {
+            self.evict()
+        } else {
+            None
+        };
+        self.index.admit(&entry, &self.entries);
         self.entries.insert(entry.id, entry);
         evicted
+    }
+
+    /// Evicts the index's victim, returning its id.
+    fn evict(&mut self) -> Option<u64> {
+        let id = self.index.victim()?;
+        let victim = self.entries.remove(&id)?;
+        self.index.forget(&victim, &self.entries);
+        self.evictions += 1;
+        Some(id)
     }
 
     /// Looks up an entry without recording an access.
@@ -147,16 +244,14 @@ impl MemoryStore {
     }
 
     /// Looks up an entry and records an access (for LRU/LFU bookkeeping).
+    /// The clock advances even when no entry has that id.
     pub fn get_mut_touch(&mut self, id: u64) -> Option<&CacheEntry> {
         self.clock += 1;
-        let clock = self.clock;
-        match self.entries.get_mut(&id) {
-            Some(e) => {
-                e.touch(clock);
-                Some(&*e)
-            }
-            None => None,
-        }
+        let entry = self.entries.get_mut(&id)?;
+        let old = self.index.policy.key(entry);
+        entry.touch(self.clock);
+        self.index.rekey(id, old, self.index.policy.key(entry));
+        Some(entry)
     }
 
     /// Removes an entry.
@@ -164,7 +259,9 @@ impl MemoryStore {
     /// # Errors
     /// Returns [`StoreError::NotFound`] when no entry has that id.
     pub fn remove(&mut self, id: u64) -> Result<CacheEntry> {
-        self.entries.remove(&id).ok_or(StoreError::NotFound(id))
+        let entry = self.entries.remove(&id).ok_or(StoreError::NotFound(id))?;
+        self.index.forget(&entry, &self.entries);
+        Ok(entry)
     }
 
     /// Iterates over entries in unspecified order.
@@ -193,6 +290,7 @@ impl MemoryStore {
     /// Removes every entry.
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.index.clear();
     }
 }
 
@@ -269,6 +367,37 @@ mod tests {
         let evicted = store.insert(entry(3));
         assert_eq!(evicted, Some(2));
         assert!(store.get(1).is_some());
+    }
+
+    #[test]
+    fn an_insert_may_evict_the_parent_it_links_to() {
+        let mut store = MemoryStore::new(2, EvictionPolicy::Lru).unwrap();
+        store.insert(entry(1));
+        store.insert(entry(2));
+        // 3 links to 1, but its link counts only after the victim is chosen.
+        let mut child = entry(3);
+        child.parent = Some(1);
+        assert_eq!(store.insert(child), Some(1));
+        // 3 now names a parent that is gone; nothing names 3, and once 2 is
+        // touched 3 is the least recently used.
+        store.get_mut_touch(2);
+        assert_eq!(store.insert(entry(4)), Some(3));
+    }
+
+    #[test]
+    fn when_every_entry_is_pinned_the_policy_minimum_goes() {
+        let mut store = MemoryStore::new(2, EvictionPolicy::Lru).unwrap();
+        // 1 and 2 name each other: both pinned, so LRU picks among all.
+        let mut a = entry(1);
+        a.parent = Some(2);
+        let mut b = entry(2);
+        b.parent = Some(1);
+        store.insert(a);
+        store.insert(b);
+        store.get_mut_touch(1);
+        assert_eq!(store.insert(entry(3)), Some(2));
+        // 2's link went with it, so 1 is free and older than 3.
+        assert_eq!(store.insert(entry(4)), Some(1));
     }
 
     #[test]

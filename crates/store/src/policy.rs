@@ -3,6 +3,11 @@
 //! Figure 1 of the paper shows an eviction-policy column (LRU) on every cache
 //! row; this module provides LRU plus the LFU/FIFO alternatives the related
 //! work (Section V) discusses, so the ablation benches can compare them.
+//!
+//! A policy is an order on entries, given once by [`EvictionPolicy::key`]:
+//! the victim is the entry with the smallest key. [`crate::MemoryStore`]
+//! keeps its entries sorted by that key, so choosing a victim never scans
+//! the store.
 
 use serde::{Deserialize, Serialize};
 
@@ -21,15 +26,16 @@ pub enum EvictionPolicy {
 }
 
 impl EvictionPolicy {
-    /// Picks the id of the entry to evict from a non-empty iterator of
-    /// candidates, or `None` when there are no candidates.
-    pub fn select_victim<'a>(&self, entries: impl Iterator<Item = &'a CacheEntry>) -> Option<u64> {
+    /// The entry's place in eviction order: the smallest key goes first.
+    /// Every key ends in the entry's id, so two entries never tie.
+    ///
+    /// LRU orders by `(last_access, 0, id)`, LFU by `(hits, last_access,
+    /// id)`, FIFO by `(inserted_at, 0, id)`.
+    pub fn key(&self, entry: &CacheEntry) -> (u64, u64, u64) {
         match self {
-            EvictionPolicy::Lru => entries.min_by_key(|e| (e.last_access, e.id)).map(|e| e.id),
-            EvictionPolicy::Lfu => entries
-                .min_by_key(|e| (e.hits, e.last_access, e.id))
-                .map(|e| e.id),
-            EvictionPolicy::Fifo => entries.min_by_key(|e| (e.inserted_at, e.id)).map(|e| e.id),
+            EvictionPolicy::Lru => (entry.last_access, 0, entry.id),
+            EvictionPolicy::Lfu => (entry.hits, entry.last_access, entry.id),
+            EvictionPolicy::Fifo => (entry.inserted_at, 0, entry.id),
         }
     }
 }
@@ -56,16 +62,29 @@ mod tests {
         e
     }
 
+    /// Ids of `entries` in `policy`'s eviction order, first victim first.
+    fn order(policy: EvictionPolicy, entries: &[CacheEntry]) -> Vec<u64> {
+        let mut keys: Vec<_> = entries.iter().map(|e| policy.key(e)).collect();
+        keys.sort_unstable();
+        keys.into_iter().map(|(_, _, id)| id).collect()
+    }
+
     #[test]
     fn lru_evicts_least_recently_used() {
         let entries = [entry(1, 0, 100, 5), entry(2, 0, 50, 50), entry(3, 0, 75, 1)];
-        assert_eq!(EvictionPolicy::Lru.select_victim(entries.iter()), Some(2));
+        assert_eq!(order(EvictionPolicy::Lru, &entries), [2, 3, 1]);
     }
 
     #[test]
     fn lfu_evicts_least_frequently_used() {
-        let entries = [entry(1, 0, 100, 5), entry(2, 0, 50, 50), entry(3, 0, 75, 1)];
-        assert_eq!(EvictionPolicy::Lfu.select_victim(entries.iter()), Some(3));
+        let entries = [
+            entry(1, 0, 100, 5),
+            entry(2, 0, 50, 50),
+            entry(3, 0, 75, 1),
+            entry(4, 0, 60, 5),
+        ];
+        // Equal hits fall back to recency: 4 (access 60) before 1 (100).
+        assert_eq!(order(EvictionPolicy::Lfu, &entries), [3, 4, 1, 2]);
     }
 
     #[test]
@@ -75,21 +94,19 @@ mod tests {
             entry(2, 10, 500, 50),
             entry(3, 20, 75, 1),
         ];
-        assert_eq!(EvictionPolicy::Fifo.select_victim(entries.iter()), Some(2));
+        assert_eq!(order(EvictionPolicy::Fifo, &entries), [2, 3, 1]);
     }
 
     #[test]
     fn ties_are_broken_deterministically_by_id() {
         let entries = [entry(9, 0, 10, 1), entry(4, 0, 10, 1), entry(7, 0, 10, 1)];
-        assert_eq!(EvictionPolicy::Lru.select_victim(entries.iter()), Some(4));
-        assert_eq!(EvictionPolicy::Lfu.select_victim(entries.iter()), Some(4));
-        assert_eq!(EvictionPolicy::Fifo.select_victim(entries.iter()), Some(4));
-    }
-
-    #[test]
-    fn empty_candidate_set_returns_none() {
-        let entries: Vec<CacheEntry> = Vec::new();
-        assert_eq!(EvictionPolicy::Lru.select_victim(entries.iter()), None);
+        for policy in [
+            EvictionPolicy::Lru,
+            EvictionPolicy::Lfu,
+            EvictionPolicy::Fifo,
+        ] {
+            assert_eq!(order(policy, &entries), [4, 7, 9], "{policy}");
+        }
     }
 
     #[test]
