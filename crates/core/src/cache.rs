@@ -6,8 +6,9 @@
 //! verified candidate's response, or report a miss so the deployment forwards
 //! the query to the LLM and inserts the fresh response.
 
+use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mc_embedder::{EmbeddingMemo, QueryEncoder};
 use mc_store::{AnyIndex, CacheEntry, MemoryStore, VectorIndex};
@@ -60,6 +61,11 @@ impl CacheDecisionOutcome {
 
 /// Running counters the cache keeps about itself (a point-in-time snapshot
 /// of the live atomic counters — see [`MeanCache::stats`]).
+///
+/// The first five count decisions; `encodes` and `index_searches` count the
+/// work behind them. Both work counters belong to the `MeanCache` that did
+/// the work: a [`crate::ShardedCache`] sums its shards', which leaves out
+/// the texts it embeds above them to route or to scatter a probe.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
     /// Number of lookups performed.
@@ -73,6 +79,13 @@ pub struct CacheStats {
     pub inserts: u64,
     /// Number of user-feedback threshold adjustments applied.
     pub feedback_updates: u64,
+    /// Texts embedded: queries and previous turns, through the memo when
+    /// one is installed (its own statistics split memo hits from encoder
+    /// runs).
+    pub encodes: u64,
+    /// Index searches run: one per query of a batched search, including
+    /// the context-resolution searches and those of scatter-gather probes.
+    pub index_searches: u64,
 }
 
 impl CacheStats {
@@ -86,6 +99,8 @@ impl CacheStats {
             context_rejections: self.context_rejections + other.context_rejections,
             inserts: self.inserts + other.inserts,
             feedback_updates: self.feedback_updates + other.feedback_updates,
+            encodes: self.encodes + other.encodes,
+            index_searches: self.index_searches + other.index_searches,
         }
     }
 }
@@ -101,6 +116,8 @@ struct AtomicCacheStats {
     context_rejections: AtomicU64,
     inserts: AtomicU64,
     feedback_updates: AtomicU64,
+    encodes: AtomicU64,
+    index_searches: AtomicU64,
 }
 
 impl AtomicCacheStats {
@@ -111,6 +128,8 @@ impl AtomicCacheStats {
             context_rejections: self.context_rejections.load(Ordering::Relaxed),
             inserts: self.inserts.load(Ordering::Relaxed),
             feedback_updates: self.feedback_updates.load(Ordering::Relaxed),
+            encodes: self.encodes.load(Ordering::Relaxed),
+            index_searches: self.index_searches.load(Ordering::Relaxed),
         }
     }
 
@@ -128,6 +147,8 @@ impl Clone for AtomicCacheStats {
             context_rejections: AtomicU64::new(snap.context_rejections),
             inserts: AtomicU64::new(snap.inserts),
             feedback_updates: AtomicU64::new(snap.feedback_updates),
+            encodes: AtomicU64::new(snap.encodes),
+            index_searches: AtomicU64::new(snap.index_searches),
         }
     }
 }
@@ -147,7 +168,7 @@ impl Clone for AtomicCacheStats {
 ///   served. Inserts and feedback keep their own `&mut` entry points.
 ///
 /// [`SemanticCache::lookup`] is the sequential composition of the two and
-/// behaves exactly as it did before the split.
+/// decides exactly as they do.
 pub trait SemanticCache {
     /// The read-only half of a lookup: answers a query under the given
     /// conversational context (most recent turn last) without mutating
@@ -164,7 +185,11 @@ pub trait SemanticCache {
     /// Looks up a query under the given conversational context (most recent
     /// turn last): [`SemanticCache::probe`] followed by
     /// [`SemanticCache::commit`]. Does not modify cache contents other than
-    /// access metadata.
+    /// access metadata. An implementation may also keep what the probe
+    /// computed for an [`SemanticCache::insert`] of the same query and
+    /// context that follows — the paper's miss → fill — provided the insert
+    /// stores exactly what it would have computed itself ([`MeanCache`]
+    /// does).
     fn lookup(&mut self, query: &str, context: &[String]) -> CacheDecisionOutcome {
         let outcome = self.probe(query, context);
         self.commit(&outcome);
@@ -238,8 +263,9 @@ pub(crate) struct ScatterProbe {
     pub rejected_by_context: bool,
 }
 
-/// The probe's conversational context, analysed once per lookup.
-#[cfg_attr(test, derive(Clone))]
+/// The probe's conversational context, analysed once per lookup and built
+/// only when a candidate's context check needs it.
+#[derive(Debug, Clone)]
 enum ProbeContext {
     /// The probe carries no conversation history.
     Standalone,
@@ -248,9 +274,41 @@ enum ProbeContext {
         /// Embedding of the most recent previous turn.
         embedding: Vec<f32>,
         /// The cached entries that previous turn plausibly resolves to (its
-        /// top-k matches in the cache above the context threshold).
-        resolved: Vec<u64>,
+        /// top-k matches in the cache above the context threshold). Searched
+        /// for at most once, and only when a candidate's cached parent has
+        /// passed the score test that rejects almost every candidate. A
+        /// `OnceLock` rather than a `OnceCell` so that a [`PendingFill`]
+        /// holding one leaves `MeanCache` `Sync`.
+        resolved: OnceLock<Vec<u64>>,
     },
+}
+
+impl ProbeContext {
+    /// The context of a probe whose previous turn embeds to `embedding`
+    /// (`None`: a standalone probe), not yet resolved.
+    fn of_turn(embedding: Option<Vec<f32>>) -> Self {
+        match embedding {
+            None => ProbeContext::Standalone,
+            Some(embedding) => ProbeContext::Contextual {
+                embedding,
+                resolved: OnceLock::new(),
+            },
+        }
+    }
+}
+
+/// What [`MeanCache::lookup`] leaves for the insert that may follow it: the
+/// query's embedding and whatever probe context the lookup built, stamped
+/// with the exact query text, the exact previous turn and the generation
+/// they were computed at.
+#[derive(Debug, Clone)]
+struct PendingFill {
+    generation: u64,
+    query: String,
+    turn: Option<String>,
+    embedding: mc_tensor::Vector,
+    /// `None` when no candidate needed it, or context checking is off.
+    context: Option<ProbeContext>,
 }
 
 /// The user-side semantic cache (the paper's contribution).
@@ -269,6 +327,12 @@ pub struct MeanCache {
     /// Optional embedding memo-cache installed by the serving layer. Only
     /// sound while the encoder is frozen — see [`EmbeddingMemo`]'s docs.
     memo: Option<Arc<EmbeddingMemo>>,
+    /// The last [`SemanticCache::lookup`]'s work, for its fill.
+    pending_fill: Option<PendingFill>,
+    /// Bumped by every `&mut` method except `insert` (which takes
+    /// `pending_fill` instead), so an older slot is outdated: only an insert
+    /// at the generation its lookup stamped may consume it.
+    generation: u64,
 }
 
 impl MeanCache {
@@ -288,6 +352,8 @@ impl MeanCache {
             index,
             stats: AtomicCacheStats::default(),
             memo: None,
+            pending_fill: None,
+            generation: 0,
         })
     }
 
@@ -296,6 +362,7 @@ impl MeanCache {
     /// for the memo's lifetime; all encoder-driven paths (probe, batch
     /// probe, context resolution, insert) then consult the memo first.
     pub fn set_embedding_memo(&mut self, memo: Option<Arc<EmbeddingMemo>>) {
+        self.outdate_fill();
         self.memo = memo;
     }
 
@@ -308,6 +375,7 @@ impl MeanCache {
     /// Memoized results are bit-identical to a cold encode (same tokenizer,
     /// frozen weights), so decisions cannot depend on whether this hit.
     fn embed(&self, text: &str) -> mc_tensor::Vector {
+        AtomicCacheStats::bump(&self.stats.encodes, 1);
         match &self.memo {
             Some(memo) => memo.get_or_encode(text, |t| self.encoder.encode(t)),
             None => self.encoder.encode(text),
@@ -331,6 +399,7 @@ impl MeanCache {
 
     /// Replaces the threshold (e.g. with a new federated global threshold).
     pub fn set_threshold(&mut self, threshold: f32) {
+        self.outdate_fill();
         self.config.threshold = threshold.clamp(0.0, 1.0);
     }
 
@@ -377,6 +446,7 @@ impl MeanCache {
     /// cached response (re-asks the LLM), the hit was false — raise τ; when
     /// the user reports the cache should have answered, lower τ.
     pub fn record_feedback(&mut self, false_hit: bool) {
+        self.outdate_fill();
         let step = self.config.feedback_step;
         if false_hit {
             self.config.threshold =
@@ -388,37 +458,42 @@ impl MeanCache {
         AtomicCacheStats::bump(&self.stats.feedback_updates, 1);
     }
 
-    /// Pre-computed view of the probe's conversational context, shared by all
-    /// candidate checks of one lookup.
-    fn probe_context(&self, context: &[String]) -> ProbeContext {
-        match context.last() {
-            None => ProbeContext::Standalone,
-            Some(text) => self.probe_context_from(Some(self.embed(text).as_slice())),
-        }
+    /// Outdates the pending fill. Every `&mut` method but
+    /// [`SemanticCache::insert`] calls it (`lookup` through `commit`,
+    /// before it records its own).
+    fn outdate_fill(&mut self) {
+        self.generation = self.generation.wrapping_add(1);
     }
 
-    /// [`MeanCache::probe_context`] from a pre-encoded previous-turn
-    /// embedding (`None` = standalone probe). The scatter-gather fan-out
-    /// encodes the context once and shares the embedding across shards;
-    /// the per-shard *resolution* (which cached entries that turn refers
-    /// to) still has to be computed against this shard's own index.
-    fn probe_context_from(&self, context_embedding: Option<&[f32]>) -> ProbeContext {
-        match context_embedding {
-            None => ProbeContext::Standalone,
-            Some(embedding) => {
-                // The cached entries the probe's previous turn plausibly
-                // refers to: its top-k matches above the context threshold.
-                let resolved = self
-                    .index
-                    .search(embedding, self.config.top_k, self.config.context_threshold)
-                    .map(|hits| hits.into_iter().map(|h| h.id).collect())
-                    .unwrap_or_default();
-                ProbeContext::Contextual {
-                    embedding: embedding.to_vec(),
-                    resolved,
-                }
-            }
-        }
+    /// One counted index search; a search that fails (a query of the wrong
+    /// width) finds nothing.
+    fn search(&self, query: &[f32], k: usize, min_score: f32) -> Vec<mc_store::SearchHit> {
+        AtomicCacheStats::bump(&self.stats.index_searches, 1);
+        self.index.search(query, k, min_score).unwrap_or_default()
+    }
+
+    /// [`MeanCache::search`] for a batch of queries, counted per query.
+    fn search_batch(&self, queries: &[&[f32]]) -> Vec<Vec<mc_store::SearchHit>> {
+        AtomicCacheStats::bump(&self.stats.index_searches, queries.len() as u64);
+        self.index
+            .search_batch(queries, self.config.top_k, self.config.threshold)
+            .unwrap_or_else(|_| vec![Vec::new(); queries.len()])
+    }
+
+    /// Pre-computed view of the probe's conversational context, shared by all
+    /// candidate checks of one lookup. Encodes the previous turn; its
+    /// resolution waits for a candidate that needs it.
+    fn probe_context(&self, context: &[String]) -> ProbeContext {
+        ProbeContext::of_turn(context.last().map(|text| self.embed(text).into_vec()))
+    }
+
+    /// The cached entries a previous turn embedding to `turn` plausibly
+    /// refers to: its top-k matches above the context threshold.
+    fn resolve(&self, turn: &[f32]) -> Vec<u64> {
+        self.search(turn, self.config.top_k, self.config.context_threshold)
+            .into_iter()
+            .map(|hit| hit.id)
+            .collect()
     }
 
     /// Checks whether a candidate entry's context chain matches the probe's
@@ -431,6 +506,10 @@ impl MeanCache {
     /// followed up on. Requiring resolution keeps lexically-similar but
     /// different conversations (the paper's Q3/Q4 example) from false-hitting
     /// even when the encoder scores them above the threshold.
+    ///
+    /// (a) is one cosine and rejects almost every candidate, so it runs
+    /// first; (b) is an index search, run only behind a passing (a) and at
+    /// most once per probe.
     fn context_matches(&self, entry: &CacheEntry, probe: &ProbeContext) -> bool {
         match (entry.parent, probe) {
             // Standalone cached query and standalone probe: contexts agree.
@@ -454,7 +533,10 @@ impl MeanCache {
                     embedding,
                     parent_entry.embedding.as_slice(),
                 );
-                score >= self.config.context_threshold && resolved.contains(&parent_id)
+                score >= self.config.context_threshold
+                    && resolved
+                        .get_or_init(|| self.resolve(embedding))
+                        .contains(&parent_id)
             }
         }
     }
@@ -468,6 +550,7 @@ impl MeanCache {
     /// index dimensionality (e.g. the encoder changed compression settings
     /// between save and load).
     pub fn restore_entry(&mut self, entry: CacheEntry) -> Result<u64> {
+        self.outdate_fill();
         let id = entry.id;
         let embedding = entry.embedding.clone();
         if let Some(evicted) = self.store.insert(entry) {
@@ -485,6 +568,7 @@ impl MeanCache {
     /// TTL/invalidation reclaim sweep; dangling root pins left behind are
     /// collected by the existing pin-GC sweep.
     pub fn remove_entry(&mut self, id: u64) -> bool {
+        self.outdate_fill();
         match self.store.remove(id) {
             Ok(_) => {
                 let _ = self.index.remove(id);
@@ -510,6 +594,7 @@ impl MeanCache {
         index: AnyIndex,
         entries: Vec<CacheEntry>,
     ) -> Result<()> {
+        self.outdate_fill();
         if index.dims() != self.index.dims() {
             return Err(CacheError::Store(mc_store::StoreError::DimensionMismatch {
                 expected: self.index.dims(),
@@ -530,14 +615,16 @@ impl MeanCache {
     /// Shared back half of a probe: context-verifies `candidates` in score
     /// order and serves the first one whose conversation matches the probe's.
     /// Read-only — the eviction-policy touch for a served hit happens in
-    /// [`SemanticCache::commit`].
+    /// [`SemanticCache::commit`]. The probe context, if a candidate needed
+    /// one, is left in `built`.
     fn decide(
         &self,
         candidates: Vec<mc_store::SearchHit>,
         context: &[String],
+        built: &OnceCell<Option<ProbeContext>>,
     ) -> CacheDecisionOutcome {
         let (outcome, rejected_by_context) =
-            self.decide_from(candidates, || self.probe_context(context));
+            self.decide_in(candidates, || self.probe_context(context), built);
         if outcome.is_hit() {
             AtomicCacheStats::bump(&self.stats.hits, 1);
         } else if rejected_by_context {
@@ -546,20 +633,30 @@ impl MeanCache {
         outcome
     }
 
-    /// The statistics-free core of [`MeanCache::decide`]: context-verifies
+    /// [`MeanCache::decide`] without statistics: context-verifies
     /// `candidates` in score order and returns the first match, plus
     /// whether any candidate was rejected by context verification.
-    ///
-    /// `probe_context` costs an encode and a second index scan, and only a
-    /// candidate ever reads it: it is built when the first candidate needs
-    /// it (never, with context checking off), so a lookup with nothing above
-    /// τ — every cold miss — does not pay for it.
     fn decide_from(
         &self,
         candidates: Vec<mc_store::SearchHit>,
         probe_context: impl Fn() -> ProbeContext,
     ) -> (CacheDecisionOutcome, bool) {
-        let built = std::cell::OnceCell::new();
+        self.decide_in(candidates, probe_context, &OnceCell::new())
+    }
+
+    /// [`MeanCache::decide_from`], building the probe context into `built`.
+    ///
+    /// `probe_context` costs an encode, and only a candidate ever reads it:
+    /// it is built when the first candidate needs it (never, with context
+    /// checking off), so a lookup with nothing above τ — every cold miss —
+    /// does not pay for it. Its resolution search waits longer still (see
+    /// [`MeanCache::context_matches`]).
+    fn decide_in(
+        &self,
+        candidates: Vec<mc_store::SearchHit>,
+        probe_context: impl Fn() -> ProbeContext,
+        built: &OnceCell<Option<ProbeContext>>,
+    ) -> (CacheDecisionOutcome, bool) {
         let probe_context = || self.config.context_checking.then(&probe_context);
         let mut rejected_by_context = false;
         for candidate in candidates {
@@ -584,31 +681,40 @@ impl MeanCache {
         (CacheDecisionOutcome::Miss, rejected_by_context)
     }
 
+    /// [`SemanticCache::probe`], also handing back the query's embedding and,
+    /// in `built`, the probe context if a candidate needed one.
+    fn probe_in(
+        &self,
+        query: &str,
+        context: &[String],
+        built: &OnceCell<Option<ProbeContext>>,
+    ) -> (mc_tensor::Vector, CacheDecisionOutcome) {
+        AtomicCacheStats::bump(&self.stats.lookups, 1);
+        let embedding = self.embed(query);
+        let candidates = self.search(
+            embedding.as_slice(),
+            self.config.top_k,
+            self.config.threshold,
+        );
+        let outcome = self.decide(candidates, context, built);
+        (embedding, outcome)
+    }
+
     /// One shard's share of a scatter-gather probe: search + context-verify
-    /// against pre-encoded embeddings, recording **no** statistics (the
-    /// sharded layer counts one logical lookup per fan-out, not one per
-    /// shard). `context_embedding` is the probe's most recent previous
-    /// turn, already ignored by the caller when context checking is off.
+    /// against pre-encoded embeddings, recording **no** decision statistics
+    /// (the sharded layer counts one logical lookup per fan-out, not one per
+    /// shard); its index searches are counted, they are this shard's work.
+    /// `context_embedding` is the probe's most recent previous turn, already
+    /// ignored by the caller when context checking is off.
     pub(crate) fn probe_scatter(
         &self,
         query_embedding: &[f32],
         context_embedding: Option<&[f32]>,
     ) -> ScatterProbe {
-        let candidates =
-            match self
-                .index
-                .search(query_embedding, self.config.top_k, self.config.threshold)
-            {
-                Ok(c) => c,
-                Err(_) => {
-                    return ScatterProbe {
-                        outcome: CacheDecisionOutcome::Miss,
-                        rejected_by_context: false,
-                    }
-                }
-            };
-        let (outcome, rejected_by_context) =
-            self.decide_from(candidates, || self.probe_context_from(context_embedding));
+        let candidates = self.search(query_embedding, self.config.top_k, self.config.threshold);
+        let (outcome, rejected_by_context) = self.decide_from(candidates, || {
+            ProbeContext::of_turn(context_embedding.map(<[f32]>::to_vec))
+        });
         ScatterProbe {
             outcome,
             rejected_by_context,
@@ -622,28 +728,13 @@ impl MeanCache {
         probes: &[(&[f32], Option<&[f32]>)],
     ) -> Vec<ScatterProbe> {
         let query_refs: Vec<&[f32]> = probes.iter().map(|(query, _)| *query).collect();
-        let batched =
-            match self
-                .index
-                .search_batch(&query_refs, self.config.top_k, self.config.threshold)
-            {
-                Ok(b) => b,
-                Err(_) => {
-                    return probes
-                        .iter()
-                        .map(|_| ScatterProbe {
-                            outcome: CacheDecisionOutcome::Miss,
-                            rejected_by_context: false,
-                        })
-                        .collect()
-                }
-            };
-        batched
+        self.search_batch(&query_refs)
             .into_iter()
             .zip(probes)
             .map(|(candidates, (_, context_embedding))| {
-                let (outcome, rejected_by_context) =
-                    self.decide_from(candidates, || self.probe_context_from(*context_embedding));
+                let (outcome, rejected_by_context) = self.decide_from(candidates, || {
+                    ProbeContext::of_turn(context_embedding.map(<[f32]>::to_vec))
+                });
                 ScatterProbe {
                     outcome,
                     rejected_by_context,
@@ -655,7 +746,8 @@ impl MeanCache {
     /// Replaces the capacity bound on this cache's store (the sharded
     /// layer's capacity-borrowing hook; see `MemoryStore::set_capacity`
     /// for the shrink semantics).
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
+    pub fn set_capacity(&mut self, capacity: usize) {
+        self.outdate_fill();
         let capacity = capacity.max(1);
         self.config.capacity = capacity;
         self.store.set_capacity(capacity);
@@ -664,41 +756,63 @@ impl MeanCache {
     /// Allocates the next entry id without inserting (the reshard replay
     /// path reserves an id, rewrites parent links, then restores).
     pub(crate) fn reserve_id(&mut self) -> u64 {
+        self.outdate_fill();
         self.store.next_id()
     }
 
     /// Finds the cached entry that corresponds to the probe's most recent
-    /// context turn, used to link a newly inserted follow-up to its parent.
-    fn resolve_parent(&self, context: &[String]) -> Option<u64> {
-        let parent_text = context.last()?;
-        let embedding = self.embed(parent_text);
-        self.index
-            .best_match(embedding.as_slice(), self.config.context_threshold)
-            .ok()
-            .flatten()
+    /// context turn, used to link a newly inserted follow-up to its parent:
+    /// the best match above the context threshold. `probe` is the context
+    /// the lookup of this same query and turn built, if any; its embedding,
+    /// and its resolution when one was searched, are reused. The first of
+    /// the top-k resolution is the best match — both searches rank under
+    /// the scan's one total order.
+    fn resolve_parent(&self, context: &[String], probe: Option<ProbeContext>) -> Option<u64> {
+        let turn = context.last()?;
+        let embedding = match probe {
+            Some(ProbeContext::Contextual {
+                embedding,
+                resolved,
+            }) => match resolved.get() {
+                Some(ids) => return ids.first().copied(),
+                None => embedding,
+            },
+            _ => self.embed(turn).into_vec(),
+        };
+        self.search(&embedding, 1, self.config.context_threshold)
+            .first()
             .map(|hit| hit.id)
     }
 }
 
 impl SemanticCache for MeanCache {
     fn probe(&self, query: &str, context: &[String]) -> CacheDecisionOutcome {
-        AtomicCacheStats::bump(&self.stats.lookups, 1);
-        let embedding = self.embed(query);
-        let candidates = match self.index.search(
-            embedding.as_slice(),
-            self.config.top_k,
-            self.config.threshold,
-        ) {
-            Ok(c) => c,
-            Err(_) => return CacheDecisionOutcome::Miss,
-        };
-        self.decide(candidates, context)
+        self.probe_in(query, context, &OnceCell::new()).1
     }
 
     fn commit(&mut self, outcome: &CacheDecisionOutcome) {
+        self.outdate_fill();
         if let Some(hit) = outcome.hit() {
             self.store.get_mut_touch(hit.entry_id);
         }
+    }
+
+    /// [`SemanticCache::probe`] then [`SemanticCache::commit`], keeping the
+    /// query's embedding and the probe context for an insert of the same
+    /// query text and previous turn that comes next. Any other `&mut` call
+    /// in between outdates them.
+    fn lookup(&mut self, query: &str, context: &[String]) -> CacheDecisionOutcome {
+        let built = OnceCell::new();
+        let (embedding, outcome) = self.probe_in(query, context, &built);
+        self.commit(&outcome);
+        self.pending_fill = Some(PendingFill {
+            generation: self.generation,
+            query: query.to_owned(),
+            turn: context.last().cloned(),
+            embedding,
+            context: built.into_inner().flatten(),
+        });
+        outcome
     }
 
     fn probe_batch(&self, probes: &[(&str, &[String])]) -> Vec<CacheDecisionOutcome> {
@@ -708,25 +822,29 @@ impl SemanticCache for MeanCache {
         let embeddings: Vec<mc_tensor::Vector> =
             probes.iter().map(|(query, _)| self.embed(query)).collect();
         let query_refs: Vec<&[f32]> = embeddings.iter().map(|e| e.as_slice()).collect();
-        let batched =
-            match self
-                .index
-                .search_batch(&query_refs, self.config.top_k, self.config.threshold)
-            {
-                Ok(b) => b,
-                Err(_) => return vec![CacheDecisionOutcome::Miss; probes.len()],
-            };
-        batched
+        self.search_batch(&query_refs)
             .into_iter()
             .zip(probes)
-            .map(|(candidates, (_, context))| self.decide(candidates, context))
+            .map(|(candidates, (_, context))| self.decide(candidates, context, &OnceCell::new()))
             .collect()
     }
 
+    /// Stores the LLM's response. Right after a [`SemanticCache::lookup`]
+    /// of the same query text and previous turn, with no other `&mut` call
+    /// in between, it takes that lookup's embedding and probe context
+    /// instead of encoding and resolving again; the entry is the same.
     fn insert(&mut self, query: &str, response: &str, context: &[String]) -> Result<u64> {
-        let embedding = self.embed(query);
+        let turn = context.last();
+        let generation = self.generation;
+        let reused = self.pending_fill.take().filter(|fill| {
+            fill.generation == generation && fill.query == query && fill.turn.as_ref() == turn
+        });
+        let (embedding, probe) = match reused {
+            Some(fill) => (fill.embedding, fill.context),
+            None => (self.embed(query), None),
+        };
         let parent = if self.config.context_checking {
-            self.resolve_parent(context)
+            self.resolve_parent(context, probe)
         } else {
             None
         };
@@ -961,6 +1079,201 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A line-plot conversation and an unrelated standalone entry.
+    fn conversation_cache() -> MeanCache {
+        let mut cache = cache_with_threshold(0.6);
+        let line_plot = ["draw a line plot in python".to_string()];
+        cache
+            .insert("draw a line plot in python", "Use plt.plot(xs, ys).", &[])
+            .unwrap();
+        cache
+            .insert("change the color to red", "Pass color='red'.", &line_plot)
+            .unwrap();
+        cache
+            .insert(
+                "how can I increase the battery life of my smartphone",
+                "Lower the screen brightness.",
+                &[],
+            )
+            .unwrap();
+        cache
+    }
+
+    /// The (encodes, index searches) `f` costs `cache`.
+    fn work<C: SemanticCache>(
+        cache: &mut C,
+        stats: fn(&C) -> CacheStats,
+        f: impl FnOnce(&mut C),
+    ) -> (u64, u64) {
+        let before = stats(cache);
+        f(cache);
+        let after = stats(cache);
+        (
+            after.encodes - before.encodes,
+            after.index_searches - before.index_searches,
+        )
+    }
+
+    /// What a lookup and the fill after it cost, per query kind; the fill
+    /// stores what a fill that computes everything itself stores.
+    #[test]
+    fn a_fill_reuses_its_lookups_encode_and_resolution() {
+        let line_plot = vec!["draw a line plot in python".to_string()];
+        let portugal = vec!["what is the capital city of portugal".to_string()];
+        // (query, context, lookup hits, lookup cost, fill cost)
+        type Case<'a> = (&'a str, &'a [String], bool, (u64, u64), (u64, u64));
+        let cases: [Case; 4] = [
+            // Standalone: the fill takes the query's embedding.
+            ("what is federated learning", &[], false, (1, 1), (0, 0)),
+            // The only candidate's parent fails the score test, so the turn
+            // is encoded but never resolved; the fill resolves it once,
+            // from the lookup's embedding.
+            ("change the color to red", &portugal, false, (2, 1), (0, 1)),
+            // A contextual hit: the resolution that verified it is reused.
+            ("change the color to red", &line_plot, true, (2, 2), (0, 0)),
+            // No candidate: the lookup never encodes the turn.
+            ("owls hunt at night", &line_plot, false, (1, 1), (1, 1)),
+        ];
+        for (query, context, hit, lookup_cost, fill_cost) in cases {
+            let mut cache = conversation_cache();
+            let mut outcome = CacheDecisionOutcome::Miss;
+            let cost = work(&mut cache, MeanCache::stats, |c| {
+                outcome = c.lookup(query, context)
+            });
+            assert_eq!(cost, lookup_cost, "lookup {query:?} {context:?}");
+            assert_eq!(outcome.is_hit(), hit, "{query:?} {context:?}");
+            let mut id = 0;
+            let cost = work(&mut cache, MeanCache::stats, |c| {
+                id = c.insert(query, "fresh", context).unwrap()
+            });
+            assert_eq!(cost, fill_cost, "fill {query:?} {context:?}");
+
+            let mut cold = conversation_cache();
+            let cold_id = cold.insert(query, "fresh", context).unwrap();
+            let (warm, cold) = (cache.entry(id).unwrap(), cold.entry(cold_id).unwrap());
+            assert_eq!(warm.parent, cold.parent, "{query:?} {context:?}");
+            assert_eq!(warm.embedding, cold.embedding);
+        }
+    }
+
+    /// Every `&mut` call between a lookup and its fill makes the fill
+    /// compute everything again (2 encodes and 1 search for a follow-up
+    /// whose lookup left a resolution it would otherwise reuse).
+    #[test]
+    fn every_other_mut_call_outdates_the_pending_fill() {
+        let line_plot = vec!["draw a line plot in python".to_string()];
+        let query = "change the color to red";
+        type Call = (&'static str, fn(&mut MeanCache));
+        let calls: [Call; 12] = [
+            ("nothing", |_| {}),
+            ("commit", |c| c.commit(&CacheDecisionOutcome::Miss)),
+            ("lookup", |c| {
+                c.lookup("what is federated learning", &[]);
+            }),
+            ("lookup_batch", |c| {
+                c.lookup_batch(&[("what is federated learning", &[][..])]);
+            }),
+            ("remove_entry", |c| {
+                c.remove_entry(u64::MAX);
+            }),
+            ("restore_entry", |c| {
+                let entry = c.entries().next().unwrap().clone();
+                c.restore_entry(entry).unwrap();
+            }),
+            ("install_restored", |c| {
+                let index = c.index.clone();
+                c.install_restored(index, Vec::new()).unwrap();
+            }),
+            ("set_threshold", |c| c.set_threshold(c.threshold())),
+            ("record_feedback", |c| c.record_feedback(true)),
+            ("set_capacity", |c| c.set_capacity(c.config.capacity)),
+            ("set_embedding_memo", |c| c.set_embedding_memo(None)),
+            ("reserve_id", |c| {
+                c.reserve_id();
+            }),
+        ];
+        for (name, call) in calls {
+            let mut cache = conversation_cache();
+            assert!(cache.lookup(query, &line_plot).is_hit());
+            call(&mut cache);
+            let cost = work(&mut cache, MeanCache::stats, |c| {
+                c.insert(query, "fresh", &line_plot).unwrap();
+            });
+            let expected = if name == "nothing" { (0, 0) } else { (2, 1) };
+            assert_eq!(cost, expected, "{name}");
+        }
+    }
+
+    /// Only `MeanCache::lookup` keeps work for a fill: the read-only and
+    /// batched paths do not, nor does a sharded cache (whose shards are
+    /// probed, never looked up) on any routing mode or path.
+    #[test]
+    fn only_lookup_leaves_a_pending_fill() {
+        let line_plot = vec!["draw a line plot in python".to_string()];
+        let query = "change the color to red";
+        let fill_cost = |cache: &mut MeanCache| {
+            work(cache, MeanCache::stats, |c| {
+                c.insert(query, "fresh", &line_plot).unwrap();
+            })
+        };
+        let mut cache = conversation_cache();
+        cache.probe(query, &line_plot);
+        assert_eq!(fill_cost(&mut cache), (2, 1), "probe");
+        cache.probe_batch(&[(query, &line_plot[..])]);
+        assert_eq!(fill_cost(&mut cache), (2, 1), "probe_batch");
+        cache.lookup_batch(&[(query, &line_plot[..])]);
+        assert_eq!(fill_cost(&mut cache), (2, 1), "lookup_batch");
+
+        for routing in [
+            crate::RoutingMode::Hash,
+            crate::RoutingMode::Centroid,
+            crate::RoutingMode::ScatterGather,
+        ] {
+            let config = MeanCacheConfig::default()
+                .with_threshold(0.6)
+                .with_shards(2)
+                .with_routing(routing);
+            let mut sharded = crate::ShardedCache::new(trained_like_encoder(), config).unwrap();
+            sharded
+                .insert("draw a line plot in python", "Use plt.plot.", &[])
+                .unwrap();
+            sharded
+                .insert(query, "Pass color='red'.", &line_plot)
+                .unwrap();
+            assert!(sharded.lookup(query, &line_plot).is_hit());
+            let cost = work(&mut sharded, crate::ShardedCache::stats, |c| {
+                c.insert(query, "fresh", &line_plot).unwrap();
+            });
+            assert_eq!(cost, (2, 1), "{routing:?} lookup");
+            assert!(sharded.lookup_shared(query, &line_plot).is_hit());
+            let cost = work(&mut sharded, crate::ShardedCache::stats, |c| {
+                c.insert_shared(query, "fresh", &line_plot).unwrap();
+            });
+            assert_eq!(cost, (2, 1), "{routing:?} lookup_shared");
+        }
+    }
+
+    #[test]
+    fn a_cache_with_a_pending_fill_is_still_send_sync_and_clone() {
+        fn assert_shareable<T: Send + Sync + Clone>(_: &T) {}
+        let mut cache = conversation_cache();
+        cache.lookup(
+            "change the color to red",
+            &["draw a line plot in python".to_string()],
+        );
+        assert_shareable(&cache);
+        let mut copy = cache.clone();
+        let cost = work(&mut copy, MeanCache::stats, |c| {
+            c.insert(
+                "change the color to red",
+                "fresh",
+                &["draw a line plot in python".to_string()],
+            )
+            .unwrap();
+        });
+        assert_eq!(cost, (0, 0), "a clone carries the pending fill");
     }
 
     #[test]
