@@ -6,8 +6,6 @@
 //! into the rows of the embedding table that the query activated, which is
 //! exactly what the per-client fine-tuning in Section III-A1 needs.
 
-use std::collections::BTreeMap;
-
 use mc_nn::mlp::MlpForward;
 use mc_nn::{Activation, Mlp, MlpGrad, Optimizer};
 use mc_tensor::{vector, Matrix, Vector};
@@ -52,35 +50,104 @@ impl EncoderForward {
 }
 
 /// Accumulated gradients for one encoder (sparse over table rows).
+///
+/// The table part holds only the rows a backward pass touched: a bucket →
+/// slot index, one arena of `table_dim`-wide rows in first-touch order, and
+/// the touched buckets in that order. Every walk that reduces or applies
+/// the rows ([`EncoderGrad::norm`], [`QueryEncoder::apply_gradients`]) goes
+/// through [`EncoderGrad::table_rows`], in ascending bucket order, so the
+/// gradient norm and the optimiser updates are bit-for-bit reproducible.
 #[derive(Debug, Clone)]
 pub struct EncoderGrad {
-    /// Gradients for the activated embedding-table rows, keyed by bucket.
-    /// A `BTreeMap` keeps iteration order deterministic so gradient-norm
-    /// computation and optimiser updates are bit-for-bit reproducible.
-    pub table_rows: BTreeMap<u32, Vec<f32>>,
+    /// Width of a table row.
+    dim: usize,
+    /// Per bucket, the slot of its row in `rows`, or [`UNTOUCHED`].
+    slot_of: Vec<u32>,
+    /// The touched buckets; slot `s` holds the row of `touched[s]`.
+    touched: Vec<u32>,
+    /// The touched rows, `dim` floats each, in slot order.
+    rows: Vec<f32>,
     /// Gradients for the MLP parameters.
     pub mlp: MlpGrad,
     /// Number of backward passes accumulated (used for averaging).
     pub count: usize,
+    /// The pooled-input gradient of the latest backward pass: a buffer
+    /// reused from call to call, not gradient state.
+    d_pooled: Vec<f32>,
 }
 
+/// [`EncoderGrad::slot_of`] entry of a bucket no backward pass touched.
+const UNTOUCHED: u32 = u32::MAX;
+
 impl EncoderGrad {
-    /// Scales all gradients by `alpha`.
-    pub fn scale(&mut self, alpha: f32) {
-        for row in self.table_rows.values_mut() {
-            vector::scale(alpha, row);
+    /// The accumulated rows of the touched embedding-table buckets, in
+    /// ascending bucket order.
+    pub fn table_rows(&self) -> impl Iterator<Item = (u32, &[f32])> + '_ {
+        self.slot_of
+            .iter()
+            .enumerate()
+            .filter(|&(_, &slot)| slot != UNTOUCHED)
+            .map(|(bucket, &slot)| (bucket as u32, self.row(slot)))
+    }
+
+    fn row(&self, slot: u32) -> &[f32] {
+        let at = slot as usize * self.dim;
+        &self.rows[at..at + self.dim]
+    }
+
+    /// The gradient row of `bucket`, zero-filled on first touch.
+    fn row_mut(&mut self, bucket: u32) -> &mut [f32] {
+        let mut slot = self.slot_of[bucket as usize];
+        if slot == UNTOUCHED {
+            slot = self.touched.len() as u32;
+            self.slot_of[bucket as usize] = slot;
+            self.touched.push(bucket);
+            self.rows.resize(self.rows.len() + self.dim, 0.0);
         }
+        let at = slot as usize * self.dim;
+        &mut self.rows[at..at + self.dim]
+    }
+
+    /// Resets to the zero gradient, keeping every buffer's capacity: only
+    /// the touched rows' index entries are reset.
+    pub fn clear(&mut self) {
+        for &bucket in &self.touched {
+            self.slot_of[bucket as usize] = UNTOUCHED;
+        }
+        self.touched.clear();
+        self.rows.clear();
+        self.mlp.clear();
+        self.count = 0;
+    }
+
+    /// Scales all gradients by `alpha`. Element-wise, so one pass over the
+    /// arena gives each row the bits a per-row pass would.
+    pub fn scale(&mut self, alpha: f32) {
+        vector::scale(alpha, &mut self.rows);
         self.mlp.scale(alpha);
     }
 
     /// Merges another gradient accumulator into this one.
+    ///
+    /// # Errors
+    /// Returns [`EmbedderError::Shape`] when the two were made for encoders
+    /// of different table shapes, or the MLP shapes differ.
     pub fn accumulate(&mut self, other: &EncoderGrad) -> Result<()> {
-        for (bucket, row) in &other.table_rows {
-            match self.table_rows.get_mut(bucket) {
-                Some(existing) => vector::axpy(1.0, row, existing),
-                None => {
-                    self.table_rows.insert(*bucket, row.clone());
-                }
+        if (self.dim, self.slot_of.len()) != (other.dim, other.slot_of.len()) {
+            return Err(EmbedderError::Shape(format!(
+                "accumulate: table gradient {}x{} vs {}x{}",
+                self.slot_of.len(),
+                self.dim,
+                other.slot_of.len(),
+                other.dim
+            )));
+        }
+        for (bucket, row) in other.table_rows() {
+            if self.slot_of[bucket as usize] == UNTOUCHED {
+                // A copy, not `0.0 + row`: that would turn a `-0.0` into `+0.0`.
+                self.row_mut(bucket).copy_from_slice(row);
+            } else {
+                vector::axpy(1.0, row, self.row_mut(bucket));
             }
         }
         self.mlp.accumulate(&other.mlp)?;
@@ -90,7 +157,7 @@ impl EncoderGrad {
 
     /// Global L2 norm of all accumulated gradients.
     pub fn norm(&self) -> f32 {
-        let table: f32 = self.table_rows.values().map(|r| vector::norm_sq(r)).sum();
+        let table: f32 = self.table_rows().map(|(_, r)| vector::norm_sq(r)).sum();
         (table + self.mlp.norm().powi(2)).sqrt()
     }
 }
@@ -278,9 +345,13 @@ impl QueryEncoder {
     /// Zero gradient accumulator shaped for this encoder.
     pub fn zero_grad(&self) -> EncoderGrad {
         EncoderGrad {
-            table_rows: BTreeMap::new(),
+            dim: self.profile.table_dim,
+            slot_of: vec![UNTOUCHED; self.profile.hash_buckets as usize],
+            touched: Vec::new(),
+            rows: Vec::new(),
             mlp: self.mlp.zero_grad(),
             count: 0,
+            d_pooled: Vec::new(),
         }
     }
 
@@ -303,9 +374,10 @@ impl QueryEncoder {
                 self.profile.output_dim
             )));
         }
-        let d_pooled = self
-            .mlp
-            .backward(&forward.mlp_forward, d_output, &mut grad.mlp)?;
+        // Taken out of `grad` for the loop below, which borrows `grad` whole.
+        let mut d_pooled = std::mem::take(&mut grad.d_pooled);
+        self.mlp
+            .backward(&forward.mlp_forward, d_output, &mut grad.mlp, &mut d_pooled)?;
         let total = forward.features.total_weight();
         if total > 0.0 {
             for (idx, w) in forward
@@ -315,13 +387,10 @@ impl QueryEncoder {
                 .zip(&forward.features.weights)
             {
                 let coeff = *w / total;
-                let entry = grad
-                    .table_rows
-                    .entry(*idx)
-                    .or_insert_with(|| vec![0.0; self.profile.table_dim]);
-                vector::axpy(coeff, &d_pooled, entry);
+                vector::axpy(coeff, &d_pooled, grad.row_mut(*idx));
             }
         }
+        grad.d_pooled = d_pooled;
         grad.count += 1;
         Ok(())
     }
@@ -352,9 +421,9 @@ impl QueryEncoder {
                 .map_err(EmbedderError::from)?;
         }
         // Embedding-table rows.
-        for (bucket, row_grad) in &grad.table_rows {
-            let slot = TABLE_SLOT_BASE + *bucket as usize;
-            let row = self.table.row_mut(*bucket as usize);
+        for (bucket, row_grad) in grad.table_rows() {
+            let slot = TABLE_SLOT_BASE + bucket as usize;
+            let row = self.table.row_mut(bucket as usize);
             optimizer
                 .step(slot, row, row_grad)
                 .map_err(EmbedderError::from)?;
@@ -414,6 +483,7 @@ mod tests {
     use super::*;
     use crate::profiles::ModelProfile;
     use mc_nn::Adam;
+    use proptest::prelude::*;
 
     fn encoder() -> QueryEncoder {
         QueryEncoder::new(ModelProfile::tiny(), 42).unwrap()
@@ -483,12 +553,12 @@ mod tests {
         let mut grad = enc.zero_grad();
         enc.backward(&fwd, &d_output, &mut grad).unwrap();
         assert_eq!(grad.count, 1);
-        assert!(!grad.table_rows.is_empty());
+        assert!(grad.table_rows().next().is_some());
 
         // Numerically check one activated table row entry and one MLP weight.
         let loss_of = |e: &QueryEncoder| -> f32 { e.encode_raw(text).as_slice().iter().sum() };
         let h = 1e-2;
-        let (&bucket, row_grad) = grad.table_rows.iter().next().unwrap();
+        let (bucket, row_grad) = grad.table_rows().next().unwrap();
         let mut perturbed = enc.clone();
         let orig = perturbed.table.get(bucket as usize, 0);
         perturbed.table.set(bucket as usize, 0, orig + h);
@@ -586,6 +656,158 @@ mod tests {
         assert!((g1.norm() - 2.0 * n1).abs() < 1e-3);
         g1.scale(0.5);
         assert!((g1.norm() - n1).abs() < 1e-3);
+    }
+
+    /// The gradient container as first written: one `Vec` per touched
+    /// bucket in a `BTreeMap`, kept as the reference for the arena.
+    #[derive(Clone, Default)]
+    struct BTreeGrad {
+        rows: std::collections::BTreeMap<u32, Vec<f32>>,
+    }
+
+    impl BTreeGrad {
+        fn add(&mut self, bucket: u32, coeff: f32, d: &[f32]) {
+            let row = self
+                .rows
+                .entry(bucket)
+                .or_insert_with(|| vec![0.0; d.len()]);
+            vector::axpy(coeff, d, row);
+        }
+
+        fn scale(&mut self, alpha: f32) {
+            for row in self.rows.values_mut() {
+                vector::scale(alpha, row);
+            }
+        }
+
+        fn accumulate(&mut self, other: &BTreeGrad) {
+            for (bucket, row) in &other.rows {
+                match self.rows.get_mut(bucket) {
+                    Some(existing) => vector::axpy(1.0, row, existing),
+                    None => {
+                        self.rows.insert(*bucket, row.clone());
+                    }
+                }
+            }
+        }
+
+        fn norm(&self, mlp: &MlpGrad) -> f32 {
+            let table: f32 = self.rows.values().map(|r| vector::norm_sq(r)).sum();
+            (table + mlp.norm().powi(2)).sqrt()
+        }
+    }
+
+    /// Bit patterns, every NaN folded to one.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        let fold = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+        values.iter().map(fold).collect()
+    }
+
+    fn assert_same(grad: &EncoderGrad, reference: &BTreeGrad, what: &str) {
+        let got: Vec<(u32, Vec<u32>)> = grad.table_rows().map(|(b, r)| (b, bits(r))).collect();
+        let want: Vec<(u32, Vec<u32>)> =
+            reference.rows.iter().map(|(&b, r)| (b, bits(r))).collect();
+        assert_eq!(got, want, "rows and their order, {what}");
+        assert_eq!(
+            bits(&[grad.norm()]),
+            bits(&[reference.norm(&grad.mlp)]),
+            "norm, {what}"
+        );
+    }
+
+    /// A row update as `backward` makes it: `row(bucket) += coeff · d`.
+    fn add(grad: &mut EncoderGrad, reference: &mut BTreeGrad, bucket: u32, coeff: f32, d: &[f32]) {
+        vector::axpy(coeff, d, grad.row_mut(bucket));
+        reference.add(bucket, coeff, d);
+    }
+
+    /// Values where a dropped update, a wrong order or a `-0.0` turned into
+    /// `+0.0` would show.
+    const SPECIALS: [f32; 8] = [
+        0.0,
+        -0.0,
+        1.0e-45,
+        -3.0e-40,
+        f32::MAX,
+        f32::INFINITY,
+        f32::NAN,
+        -1.0,
+    ];
+
+    fn update(seed: u64, dim: usize, adversarial: bool) -> Vec<f32> {
+        let mut d = mc_tensor::rng::uniform_vec(dim, 2.0, &mut mc_tensor::rng::seeded(seed));
+        if adversarial {
+            for (i, v) in d
+                .iter_mut()
+                .enumerate()
+                .filter(|(i, _)| i % 5 == seed as usize % 5)
+            {
+                *v = SPECIALS[(i + seed as usize) % SPECIALS.len()];
+            }
+        }
+        d
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random sequences of row updates, scalings, merges and clears:
+        /// after every step the arena holds the reference's rows, bit for
+        /// bit, walks them in its order, and reduces them to the same norm.
+        #[test]
+        fn gradient_arena_matches_the_btreemap_reference(
+            ops in prop::collection::vec((0usize..8, 0u32..512, 0u64..1_000_000), 1..60),
+            adversarial in prop::bool::ANY,
+        ) {
+            let enc = encoder();
+            let dim = enc.profile().table_dim;
+            let mut grad = enc.zero_grad();
+            let mut reference = BTreeGrad::default();
+            for (step, &(kind, bucket, seed)) in ops.iter().enumerate() {
+                let coeff = [0.37, -1.0, 1.0e-3, 2.5][seed as usize % 4];
+                match kind {
+                    // Row updates are most of what a training step does.
+                    0..=3 => add(&mut grad, &mut reference, bucket, coeff, &update(seed, dim, adversarial)),
+                    4 => {
+                        let alpha = [0.5, -1.0, 0.0, -0.0, 3.0e-39][seed as usize % 5];
+                        grad.scale(alpha);
+                        reference.scale(alpha);
+                    }
+                    5 | 6 => {
+                        // Merge a second accumulator that overlaps this one
+                        // in some buckets and not others; its rows may hold
+                        // `-0.0` (after a negative scale), which a merge
+                        // into an untouched bucket must copy as is.
+                        let mut other = enc.zero_grad();
+                        let mut other_ref = BTreeGrad::default();
+                        for k in 0..(seed % 6) as u32 {
+                            let b = (bucket + 37 * k) % 512;
+                            add(&mut other, &mut other_ref, b, coeff, &update(seed + u64::from(k), dim, adversarial));
+                        }
+                        if kind == 6 {
+                            other.scale(-1.0);
+                            other_ref.scale(-1.0);
+                        }
+                        grad.accumulate(&other).unwrap();
+                        reference.accumulate(&other_ref);
+                    }
+                    _ => {
+                        grad.clear();
+                        reference = BTreeGrad::default();
+                    }
+                }
+                assert_same(&grad, &reference, &format!("step {step} op {kind}"));
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_rejects_a_gradient_of_another_shape() {
+        let mut grad = encoder().zero_grad();
+        let other = QueryEncoder::new(ModelProfile::compact(crate::ProfileKind::AlbertLike), 1)
+            .unwrap()
+            .zero_grad();
+        assert!(grad.accumulate(&other).is_err());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use mc_tensor::{rng, vector, Matrix};
 use mc_text::{HashedFeatures, PairDataset};
 use serde::{Deserialize, Serialize};
 
-use crate::encoder::EncoderForward;
+use crate::encoder::{EncoderForward, EncoderGrad};
 use crate::{QueryEncoder, Result};
 
 /// Hyper-parameters of the local training loop. These mirror the knobs the
@@ -195,6 +195,9 @@ impl LocalTrainer {
             Adam::new(self.config.learning_rate).map_err(crate::EmbedderError::from)?;
         let mut shuffle_rng = rng::seeded(self.config.seed);
         let features = PairFeatures::hash(encoder, dataset);
+        // One accumulator for the whole run; each batch clears the rows the
+        // previous one touched.
+        let mut grad = encoder.zero_grad();
 
         for _epoch in 0..self.config.epochs.max(1) {
             let order = rng::permutation(dataset.len(), &mut shuffle_rng);
@@ -212,7 +215,7 @@ impl LocalTrainer {
                     })
                     .collect();
                 let (loss, c_loss, m_loss) =
-                    self.train_batch(encoder, &batch, &weights, &mut optimizer)?;
+                    self.train_batch(encoder, &batch, &weights, &mut optimizer, &mut grad)?;
                 epoch_loss += loss;
                 epoch_contrastive += c_loss;
                 epoch_mnr += m_loss;
@@ -234,11 +237,12 @@ impl LocalTrainer {
         batch: &[BatchPair<'_>],
         weights: &MultitaskWeights,
         optimizer: &mut Adam,
+        grad: &mut EncoderGrad,
     ) -> Result<(f32, f32, f32)> {
         if batch.is_empty() {
             return Ok((0.0, 0.0, 0.0));
         }
-        let mut grad = encoder.zero_grad();
+        grad.clear();
         let mut contrastive_total = 0.0f32;
         let mut mnr_total = 0.0f32;
 
@@ -265,8 +269,8 @@ impl LocalTrainer {
                 contrastive_total += loss;
                 vector::scale(scale, &mut ga);
                 vector::scale(scale, &mut gb);
-                encoder.backward(fa, &ga, &mut grad)?;
-                encoder.backward(fb, &gb, &mut grad)?;
+                encoder.backward(fa, &ga, grad)?;
+                encoder.backward(fb, &gb, grad)?;
             }
             contrastive_total /= batch.len() as f32;
         }
@@ -293,8 +297,8 @@ impl LocalTrainer {
             d_anchors.scale(weights.mnr);
             d_positives.scale(weights.mnr);
             for (row, (fa, fb)) in duplicates.iter().enumerate() {
-                encoder.backward(fa, d_anchors.row(row), &mut grad)?;
-                encoder.backward(fb, d_positives.row(row), &mut grad)?;
+                encoder.backward(fa, d_anchors.row(row), grad)?;
+                encoder.backward(fb, d_positives.row(row), grad)?;
             }
         }
 
@@ -304,7 +308,7 @@ impl LocalTrainer {
                 grad.scale(self.config.grad_clip / norm);
             }
         }
-        encoder.apply_gradients(&grad, optimizer)?;
+        encoder.apply_gradients(grad, optimizer)?;
         let total = weights.contrastive * contrastive_total + weights.mnr * mnr_total;
         Ok((total, contrastive_total, mnr_total))
     }
@@ -437,6 +441,88 @@ mod tests {
             parameter_checksum(&encoder),
             expected,
             "trained weights moved: a reduction in the training path changed order or rounding"
+        );
+    }
+
+    /// 192 pairs over twelve topics, half of them duplicates (one phrasing
+    /// of a topic against another), half mismatched topics — so every
+    /// 32-pair batch carries enough duplicates for the MNR term. Built from
+    /// index arithmetic alone, so the set is the same on every host.
+    fn synthetic_dataset() -> PairDataset {
+        const TOPICS: [&str; 12] = [
+            "battery life of my phone",
+            "line chart in python",
+            "capital city of france",
+            "federated learning on devices",
+            "celsius to fahrenheit conversion",
+            "rust borrow checker errors",
+            "sourdough bread starter",
+            "tax deadline for freelancers",
+            "marathon training plan",
+            "kubernetes pod restarts",
+            "semantic cache for llm queries",
+            "coffee grind size for espresso",
+        ];
+        const ASK: [&str; 4] = [
+            "how do i fix",
+            "tell me about",
+            "what is the best",
+            "explain",
+        ];
+        const ALT: [&str; 4] = ["help with", "question on", "tips for the", "guide to"];
+        let pairs = (0..192)
+            .map(|i| {
+                let topic = i % TOPICS.len();
+                let a = format!("{} {}", ASK[i % ASK.len()], TOPICS[topic]);
+                if i % 2 == 0 {
+                    let b = format!("{} {} please", ALT[(i / 2) % ALT.len()], TOPICS[topic]);
+                    QueryPair::new(a, b, true)
+                } else {
+                    let other = (topic + 1 + i % 5) % TOPICS.len();
+                    QueryPair::new(
+                        a,
+                        format!("{} {}", ALT[i % ALT.len()], TOPICS[other]),
+                        false,
+                    )
+                }
+            })
+            .collect();
+        PairDataset::new(pairs)
+    }
+
+    /// The benchmark's training shapes: the compact Albert profile (64-wide
+    /// table rows, a 64 → 64 → 256 MLP) at batch 32 with the MNR term live.
+    /// The tiny pin above exercises the same code at widths under one SIMD
+    /// group of the wider kernels; this one runs whole groups, remainders
+    /// and tails. Both constants were recorded on the commit before the
+    /// training loops were rewritten.
+    #[test]
+    fn compact_profile_training_is_pinned_bit_for_bit() {
+        let expected: u64 = match mc_tensor::kernels::active_isa() {
+            "avx2+fma" => 0xd475_2b68_e71a_69ec,
+            "portable" => 0xff72_c806_027f_2268,
+            other => panic!("no pinned checksum for kernel implementation {other:?}"),
+        };
+        let profile = ModelProfile::compact(crate::ProfileKind::AlbertLike);
+        let mut encoder = QueryEncoder::new(profile, 2024).unwrap();
+        let trainer = LocalTrainer::new(TrainerConfig {
+            learning_rate: 0.02,
+            batch_size: 32,
+            epochs: 2,
+            seed: 2024,
+            ..TrainerConfig::default()
+        });
+        let stats = trainer.train(&mut encoder, &synthetic_dataset()).unwrap();
+        assert!(
+            stats.mnr_losses.iter().all(|&m| m > 0.0),
+            "the MNR term must be live: {:?}",
+            stats.mnr_losses
+        );
+        let checksum = parameter_checksum(&encoder);
+        assert_eq!(
+            checksum, expected,
+            "trained weights moved (got {checksum:#018x}): a reduction in the training path \
+             changed order or rounding"
         );
     }
 

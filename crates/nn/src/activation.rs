@@ -62,6 +62,19 @@ impl Activation {
         }
     }
 
+    /// [`Activation::derivative`] at `pre`, given `output == self.apply(pre)`
+    /// from the forward pass. Tanh's derivative is a function of its output,
+    /// so it is read from there instead of calling `tanh` a second time —
+    /// the same bits, because `output` is the very `pre.tanh()` that
+    /// `derivative` would recompute.
+    #[inline]
+    pub(crate) fn derivative_from_forward(self, pre: f32, output: f32) -> f32 {
+        match self {
+            Activation::Tanh => 1.0 - output * output,
+            _ => self.derivative(pre),
+        }
+    }
+
     /// Applies the activation to a slice in place.
     pub fn apply_slice(self, xs: &mut [f32]) {
         for x in xs.iter_mut() {
@@ -127,6 +140,52 @@ mod tests {
                 (Activation::Relu.derivative(x) - numerical_derivative(Activation::Relu, x)).abs()
                     < 1e-3
             );
+        }
+    }
+
+    /// The backward pass reads tanh's derivative from the forward output;
+    /// it must be the bits `derivative(pre)` recomputes. Checked on a dense
+    /// sweep of tanh's curved region, on every 65 537th bit pattern (every
+    /// exponent, both signs, subnormals, NaNs) and on the special values.
+    #[test]
+    fn derivative_from_forward_is_bit_equal_to_derivative() {
+        let curved = (-40_000..=40_000).map(|k| k as f32 * 2.5e-4);
+        let patterns = (0..=u32::MAX).step_by(65_537).map(f32::from_bits);
+        let specials = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0e-45,
+            -1.0e-45,
+            3.0e-42,
+            f32::EPSILON,
+            9.01,
+            -9.02,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let activations = [
+            Activation::Identity,
+            Activation::Relu,
+            Activation::Tanh,
+            Activation::Gelu,
+        ];
+        for pre in curved.chain(patterns).chain(specials) {
+            for act in activations {
+                let from_forward = act.derivative_from_forward(pre, act.apply(pre));
+                let recomputed = act.derivative(pre);
+                assert!(
+                    from_forward.to_bits() == recomputed.to_bits()
+                        || (from_forward.is_nan() && recomputed.is_nan()),
+                    "{act:?} at {pre:e} ({:#010x}): {from_forward:e} vs {recomputed:e}",
+                    pre.to_bits()
+                );
+            }
         }
     }
 

@@ -49,6 +49,12 @@ impl DenseGrad {
         Ok(())
     }
 
+    /// Resets every entry to zero, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.d_weights.as_mut_slice().fill(0.0);
+        self.d_bias.fill(0.0);
+    }
+
     /// Scales the accumulated gradient (e.g. by `1/batch_size`).
     pub fn scale(&mut self, alpha: f32) {
         self.d_weights.scale(alpha);
@@ -206,15 +212,22 @@ impl DenseLayer {
 
     /// Backward pass: given the `input` the forward pass ran on, its cache
     /// and `d_output` (gradient of the loss w.r.t. this layer's output),
-    /// accumulates parameter gradients into `grad` and returns the gradient
-    /// w.r.t. the layer input.
+    /// accumulates parameter gradients into `grad` and writes the gradient
+    /// w.r.t. the layer input into `d_input`. `delta` is scratch. Both
+    /// buffers are cleared first, so a training loop that keeps them
+    /// allocates nothing per call.
+    ///
+    /// # Errors
+    /// Returns [`NnError::ShapeMismatch`] when `d_output.len() != output_dim`.
     pub fn backward(
         &self,
         input: &[f32],
         cache: &DenseForward,
         d_output: &[f32],
         grad: &mut DenseGrad,
-    ) -> Result<Vec<f32>> {
+        delta: &mut Vec<f32>,
+        d_input: &mut Vec<f32>,
+    ) -> Result<()> {
         if d_output.len() != self.output_dim() {
             return Err(NnError::ShapeMismatch(format!(
                 "dense backward: d_output {} vs expected {}",
@@ -223,24 +236,26 @@ impl DenseLayer {
             )));
         }
         // delta = d_output * activation'(pre_activation)
-        let delta: Vec<f32> = d_output
-            .iter()
-            .zip(&cache.pre_activation)
-            .map(|(&d, &pre)| d * self.activation.derivative(pre))
-            .collect();
+        let act = self.activation;
+        delta.clear();
+        delta.extend(
+            d_output
+                .iter()
+                .zip(&cache.pre_activation)
+                .zip(&cache.output)
+                .map(|((&d, &pre), &out)| d * act.derivative_from_forward(pre, out)),
+        );
         // dW += input^T (outer) delta ; db += delta
         grad.d_weights
-            .add_outer(1.0, input, &delta)
+            .add_outer(1.0, input, delta)
             .map_err(|e| NnError::ShapeMismatch(e.to_string()))?;
-        for (b, d) in grad.d_bias.iter_mut().zip(&delta) {
+        for (b, d) in grad.d_bias.iter_mut().zip(delta.iter()) {
             *b += d;
         }
         // d_input = W * delta  (weights are input_dim x output_dim)
-        let d_input = self
-            .weights
-            .matvec(&delta)
-            .map_err(|e| NnError::ShapeMismatch(e.to_string()))?;
-        Ok(d_input)
+        self.weights
+            .matvec_into(delta, d_input)
+            .map_err(|e| NnError::ShapeMismatch(e.to_string()))
     }
 
     /// Zero-shaped gradient for this layer.
@@ -318,7 +333,16 @@ mod tests {
         let cache = l.forward(&x).unwrap();
         let d_output = vec![1.0; 3];
         let mut grad = l.zero_grad();
-        let d_input = l.backward(&x, &cache, &d_output, &mut grad).unwrap();
+        let mut d_input = Vec::new();
+        l.backward(
+            &x,
+            &cache,
+            &d_output,
+            &mut grad,
+            &mut Vec::new(),
+            &mut d_input,
+        )
+        .unwrap();
 
         let loss_of = |l: &DenseLayer, x: &[f32]| -> f32 { l.infer(x).unwrap().iter().sum() };
         let h = 1e-3;
@@ -373,8 +397,11 @@ mod tests {
         let mut g2 = l.zero_grad();
         let x = [1.0, 1.0, 1.0, 1.0];
         let cache = l.forward(&x).unwrap();
-        l.backward(&x, &cache, &[1.0, 1.0, 1.0], &mut g1).unwrap();
-        l.backward(&x, &cache, &[1.0, 1.0, 1.0], &mut g2).unwrap();
+        let (mut delta, mut d_input) = (Vec::new(), Vec::new());
+        for g in [&mut g1, &mut g2] {
+            l.backward(&x, &cache, &[1.0, 1.0, 1.0], g, &mut delta, &mut d_input)
+                .unwrap();
+        }
         let single_norm = g1.norm();
         g1.accumulate(&g2).unwrap();
         assert!((g1.norm() - 2.0 * single_norm).abs() < 1e-4);
@@ -404,6 +431,9 @@ mod tests {
         let x = [0.0, 0.0, 0.0, 0.0];
         let cache = l.forward(&x).unwrap();
         let mut grad = l.zero_grad();
-        assert!(l.backward(&x, &cache, &[1.0], &mut grad).is_err());
+        let (mut delta, mut d_input) = (Vec::new(), Vec::new());
+        assert!(l
+            .backward(&x, &cache, &[1.0], &mut grad, &mut delta, &mut d_input)
+            .is_err());
     }
 }

@@ -18,6 +18,11 @@ use mc_tensor::{ops, vector, Matrix};
 
 use crate::{NnError, Result};
 
+/// Norm at or below which a vector counts as degenerate: its cosine with
+/// anything is 0 and has zero gradient. One rule for every cosine the
+/// training losses score and differentiate.
+const DEGENERATE_NORM: f32 = 1e-8;
+
 /// Cosine similarity between `a` and `b` together with its gradients
 /// `(d cos / d a, d cos / d b)`.
 ///
@@ -26,20 +31,22 @@ use crate::{NnError, Result};
 pub fn cosine_with_grad(a: &[f32], b: &[f32]) -> (f32, Vec<f32>, Vec<f32>) {
     let na = vector::norm(a);
     let nb = vector::norm(b);
-    if na <= 1e-8 || nb <= 1e-8 || a.len() != b.len() {
+    if na <= DEGENERATE_NORM || nb <= DEGENERATE_NORM || a.len() != b.len() {
         return (0.0, vec![0.0; a.len()], vec![0.0; b.len()]);
     }
     let cos = (vector::dot(a, b) / (na * nb)).clamp(-1.0, 1.0);
     let inv_ab = 1.0 / (na * nb);
     let inv_aa = 1.0 / (na * na);
     let inv_bb = 1.0 / (nb * nb);
-    let mut da = vec![0.0f32; a.len()];
-    let mut db = vec![0.0f32; b.len()];
-    for i in 0..a.len() {
-        da[i] = b[i] * inv_ab - cos * a[i] * inv_aa;
-        db[i] = a[i] * inv_ab - cos * b[i] * inv_bb;
-    }
-    (cos, da, db)
+    let da = a
+        .iter()
+        .zip(b)
+        .map(|(&ak, &bk)| bk * inv_ab - cos * ak * inv_aa);
+    let db = a
+        .iter()
+        .zip(b)
+        .map(|(&ak, &bk)| ak * inv_ab - cos * bk * inv_bb);
+    (cos, da.collect(), db.collect())
 }
 
 /// Contrastive loss on a single labelled pair.
@@ -111,49 +118,60 @@ pub fn mnr_loss_with_grad(
         return Err(NnError::ShapeMismatch("mnr: empty batch".into()));
     }
 
-    // Cosine scores and their per-pair gradients.
+    // Every row's norm once, every (i, j) cosine once: the score the loss
+    // uses is the cosine the gradient below differentiates, zero on the same
+    // degenerate rows as `cosine_with_grad`.
+    let norms = |m: &Matrix| (0..n).map(|i| vector::norm(m.row(i))).collect::<Vec<f32>>();
+    let (anchor_norms, positive_norms) = (norms(anchors), norms(positives));
+    let degenerate = |i: usize, j: usize| {
+        anchor_norms[i] <= DEGENERATE_NORM || positive_norms[j] <= DEGENERATE_NORM
+    };
     let mut cos = Matrix::zeros(n, n);
-    // Cache gradients of cos(a_i, p_j) w.r.t. a_i and p_j lazily recomputed in
-    // the backward accumulation loop; storing all n^2 pairs of gradient
-    // vectors would need O(n^2 d) memory for no benefit at these batch sizes.
-    for i in 0..n {
-        for j in 0..n {
-            cos.set(
-                i,
-                j,
-                vector::cosine_similarity(anchors.row(i), positives.row(j)),
-            );
+    for (i, &na) in anchor_norms.iter().enumerate() {
+        for (j, &np) in positive_norms.iter().enumerate() {
+            if !degenerate(i, j) {
+                let dot = vector::dot(anchors.row(i), positives.row(j));
+                cos.set(i, j, (dot / (na * np)).clamp(-1.0, 1.0));
+            }
         }
     }
 
     let mut loss = 0.0f32;
-    let mut d_scores = Matrix::zeros(n, n);
-    for i in 0..n {
-        let logits: Vec<f32> = (0..n).map(|j| scale * cos.get(i, j)).collect();
-        let lse = ops::log_sum_exp(&logits);
-        loss += -logits[i] + lse;
-        let probs = ops::softmax(&logits);
-        for (j, &prob) in probs.iter().enumerate() {
-            let indicator = if i == j { 1.0 } else { 0.0 };
-            // dL_i/dS_ij = probs_j - indicator; divided by n for the mean.
-            d_scores.set(i, j, (prob - indicator) / n as f32);
-        }
-    }
-    loss /= n as f32;
-
     let mut d_anchors = Matrix::zeros(n, anchors.cols());
     let mut d_positives = Matrix::zeros(n, positives.cols());
+    let mut logits = Vec::with_capacity(n);
     for i in 0..n {
-        for j in 0..n {
-            let ds = d_scores.get(i, j) * scale;
+        logits.clear();
+        logits.extend(cos.row(i).iter().map(|&c| scale * c));
+        loss += -logits[i] + ops::log_sum_exp(&logits);
+        for (j, prob) in ops::softmax(&logits).into_iter().enumerate() {
+            let indicator = if i == j { 1.0 } else { 0.0 };
+            // dL_i/dS_ij = probs_j - indicator; divided by n for the mean.
+            let ds = (prob - indicator) / n as f32 * scale;
             if ds == 0.0 {
                 continue;
             }
-            let (_c, dca, dcp) = cosine_with_grad(anchors.row(i), positives.row(j));
-            vector::axpy(ds, &dca, d_anchors.row_mut(i));
-            vector::axpy(ds, &dcp, d_positives.row_mut(j));
+            let (a, p) = (anchors.row(i), positives.row(j));
+            if degenerate(i, j) {
+                // `ds` times a zero gradient: a no-op unless `ds` is not finite.
+                let zero = ds * 0.0;
+                d_anchors.row_mut(i).iter_mut().for_each(|g| *g += zero);
+                d_positives.row_mut(j).iter_mut().for_each(|g| *g += zero);
+                continue;
+            }
+            // `ds · d cos(a, p)`, element for element the expression
+            // `cosine_with_grad` and an `axpy` of its result evaluate.
+            let (na, np, c) = (anchor_norms[i], positive_norms[j], cos.get(i, j));
+            let (inv_ap, inv_aa, inv_pp) = (1.0 / (na * np), 1.0 / (na * na), 1.0 / (np * np));
+            for ((g, &ak), &pk) in d_anchors.row_mut(i).iter_mut().zip(a).zip(p) {
+                *g += ds * (pk * inv_ap - c * ak * inv_aa);
+            }
+            for ((g, &ak), &pk) in d_positives.row_mut(j).iter_mut().zip(a).zip(p) {
+                *g += ds * (ak * inv_ap - c * pk * inv_pp);
+            }
         }
     }
+    loss /= n as f32;
     Ok((loss, d_anchors, d_positives))
 }
 
@@ -185,6 +203,7 @@ impl Default for MultitaskWeights {
 mod tests {
     use super::*;
     use mc_tensor::rng::{seeded, uniform_matrix, uniform_vec};
+    use proptest::prelude::*;
 
     #[test]
     fn cosine_grad_matches_numerical() {
@@ -323,6 +342,210 @@ mod tests {
                     dp.get(r, c)
                 );
             }
+        }
+    }
+
+    /// A row whose norm lies in (1e-8, `f32::EPSILON`] is scored with the
+    /// cosine its gradient differentiates. (Scores once zeroed such a row by
+    /// `cosine_similarity`'s rule while its gradient, by
+    /// `cosine_with_grad`'s, did not.) Cosine ignores a row's scale, so the
+    /// loss and the positives' gradients match the unscaled batch, and the
+    /// row's own gradient is the unscaled one divided by the scale factor.
+    #[test]
+    fn mnr_scores_a_tiny_row_with_the_cosine_its_gradient_uses() {
+        let mut rng = seeded(33);
+        let anchors = uniform_matrix(4, 6, 1.0, &mut rng);
+        let positives = uniform_matrix(4, 6, 1.0, &mut rng);
+        let mut tiny = anchors.clone();
+        let factor = 5e-8 / vector::norm(anchors.row(0));
+        vector::scale(factor, tiny.row_mut(0));
+        let tiny_norm = vector::norm(tiny.row(0));
+        assert!(tiny_norm > 1e-8 && tiny_norm <= f32::EPSILON);
+
+        let (loss, da, dp) = mnr_loss_with_grad(&anchors, &positives, 10.0).unwrap();
+        let (tiny_loss, tiny_da, tiny_dp) = mnr_loss_with_grad(&tiny, &positives, 10.0).unwrap();
+        assert!((loss - tiny_loss).abs() < 1e-5, "{loss} vs {tiny_loss}");
+        for (r, c) in (0..4).flat_map(|r| (0..6).map(move |c| (r, c))) {
+            assert!(
+                (dp.get(r, c) - tiny_dp.get(r, c)).abs() < 1e-4,
+                "d_positive[{r},{c}]"
+            );
+        }
+        for c in 0..6 {
+            let rescaled = tiny_da.get(0, c) * factor;
+            assert!(
+                (da.get(0, c) - rescaled).abs() < 1e-4 * (1.0 + da.get(0, c).abs()),
+                "d_anchor[0,{c}]: {} vs {rescaled}",
+                da.get(0, c)
+            );
+        }
+    }
+
+    /// `cosine_with_grad` as first written: an indexed loop over
+    /// preallocated gradient vectors.
+    fn cosine_with_grad_indexed(a: &[f32], b: &[f32]) -> (f32, Vec<f32>, Vec<f32>) {
+        let na = vector::norm(a);
+        let nb = vector::norm(b);
+        if na <= 1e-8 || nb <= 1e-8 || a.len() != b.len() {
+            return (0.0, vec![0.0; a.len()], vec![0.0; b.len()]);
+        }
+        let cos = (vector::dot(a, b) / (na * nb)).clamp(-1.0, 1.0);
+        let inv_ab = 1.0 / (na * nb);
+        let inv_aa = 1.0 / (na * na);
+        let inv_bb = 1.0 / (nb * nb);
+        let mut da = vec![0.0f32; a.len()];
+        let mut db = vec![0.0f32; b.len()];
+        for i in 0..a.len() {
+            da[i] = b[i] * inv_ab - cos * a[i] * inv_aa;
+            db[i] = a[i] * inv_ab - cos * b[i] * inv_bb;
+        }
+        (cos, da, db)
+    }
+
+    /// The MNR loss in its per-pair formulation, kept as the reference for
+    /// the rewrite: every score and every gradient from its own
+    /// `cosine_with_grad` call (n² calls, each allocating two gradient
+    /// vectors), a full `d_scores` matrix, and one `axpy` per pair and side.
+    /// Scores follow `cosine_with_grad`'s degenerate rule, as the loss does.
+    fn mnr_per_pair(anchors: &Matrix, positives: &Matrix, scale: f32) -> (f32, Matrix, Matrix) {
+        let n = anchors.rows();
+        let mut cos = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..n {
+                let (c, _, _) = cosine_with_grad_indexed(anchors.row(i), positives.row(j));
+                cos.set(i, j, c);
+            }
+        }
+        let mut loss = 0.0f32;
+        let mut d_scores = Matrix::zeros(n, n);
+        for i in 0..n {
+            let logits: Vec<f32> = (0..n).map(|j| scale * cos.get(i, j)).collect();
+            let lse = ops::log_sum_exp(&logits);
+            loss += -logits[i] + lse;
+            let probs = ops::softmax(&logits);
+            for (j, &prob) in probs.iter().enumerate() {
+                let indicator = if i == j { 1.0 } else { 0.0 };
+                d_scores.set(i, j, (prob - indicator) / n as f32);
+            }
+        }
+        loss /= n as f32;
+        let mut d_anchors = Matrix::zeros(n, anchors.cols());
+        let mut d_positives = Matrix::zeros(n, positives.cols());
+        for i in 0..n {
+            for j in 0..n {
+                let ds = d_scores.get(i, j) * scale;
+                if ds == 0.0 {
+                    continue;
+                }
+                let (_c, dca, dcp) = cosine_with_grad_indexed(anchors.row(i), positives.row(j));
+                vector::axpy(ds, &dca, d_anchors.row_mut(i));
+                vector::axpy(ds, &dcp, d_positives.row_mut(j));
+            }
+        }
+        (loss, d_anchors, d_positives)
+    }
+
+    /// Bit patterns, every NaN folded to one.
+    fn bits(values: &[f32]) -> Vec<u32> {
+        let fold = |v: &f32| if v.is_nan() { u32::MAX } else { v.to_bits() };
+        values.iter().map(fold).collect()
+    }
+
+    /// `n × dim` uniform values. When `adversarial`, most rows are rescaled
+    /// to a norm that stresses a rule: exactly zero, below the degenerate
+    /// threshold, inside (1e-8, `f32::EPSILON`], just above it, large, or
+    /// NaN (which makes `ds` NaN for pairs with a degenerate partner); and
+    /// row 1 copies row 0 (equal scores, tied logits).
+    fn batch(n: usize, dim: usize, seed: u64, adversarial: bool) -> Matrix {
+        let mut m = uniform_matrix(n, dim, 1.0, &mut seeded(seed));
+        if !adversarial {
+            return m;
+        }
+        for i in 0..n {
+            let target = match (seed as usize + 7 * i) % 10 {
+                0 => 0.0,
+                1 => 1e-9,
+                2 => 5e-8,
+                3 => 1e-7,
+                4 => 2e-7,
+                5 => 3e3,
+                6 if seed.is_multiple_of(3) => f32::NAN,
+                _ => continue,
+            };
+            let norm = vector::norm(m.row(i));
+            if norm > 0.0 {
+                vector::scale(target / norm, m.row_mut(i));
+            }
+        }
+        if n > 1 {
+            let first = m.row(0).to_vec();
+            m.row_mut(1).copy_from_slice(&first);
+        }
+        m
+    }
+
+    /// Logit scales: ordinary, the trainer's, and two large enough that
+    /// softmax probabilities round to exactly 0 and 1 (so `ds == 0`).
+    const SCALES: [f32; 4] = [1.0, 10.0, 150.0, 400.0];
+
+    fn assert_matches_per_pair(n: usize, dim: usize, seed: u64, scale: f32, adversarial: bool) {
+        let anchors = batch(n, dim, seed, adversarial);
+        let positives = batch(n, dim, seed ^ 0x5eed, adversarial);
+        let (loss, da, dp) = mnr_loss_with_grad(&anchors, &positives, scale).unwrap();
+        let (ref_loss, ref_da, ref_dp) = mnr_per_pair(&anchors, &positives, scale);
+        let what = format!("n={n} dim={dim} seed={seed} scale={scale} adversarial={adversarial}");
+        assert_eq!(bits(&[loss]), bits(&[ref_loss]), "loss, {what}");
+        assert_eq!(
+            bits(da.as_slice()),
+            bits(ref_da.as_slice()),
+            "d_anchors, {what}"
+        );
+        assert_eq!(
+            bits(dp.as_slice()),
+            bits(ref_dp.as_slice()),
+            "d_positives, {what}"
+        );
+    }
+
+    #[test]
+    fn mnr_is_bit_equal_to_the_per_pair_formulation_for_every_batch_size() {
+        for n in 1..=40 {
+            for (k, &scale) in SCALES.iter().enumerate() {
+                let seed = (n * 4 + k) as u64;
+                assert_matches_per_pair(n, 1 + (n * 5 + k) % 70, seed, scale, k % 2 == 1);
+            }
+        }
+    }
+
+    #[test]
+    fn zipped_cosine_gradient_is_bit_equal_to_the_indexed_loop() {
+        for n in 0..=67 {
+            for seed in 0..4u64 {
+                let m = batch(2, n.max(1), seed + 10 * n as u64, true);
+                // Against another row, and against itself (cos = 1).
+                let a = &m.row(0)[..n];
+                let b = if seed % 2 == 0 { a } else { &m.row(1)[..n] };
+                let (c, da, db) = cosine_with_grad(a, b);
+                let (rc, rda, rdb) = cosine_with_grad_indexed(a, b);
+                assert_eq!(bits(&[c]), bits(&[rc]), "n={n} seed={seed}");
+                assert_eq!((bits(&da), bits(&db)), (bits(&rda), bits(&rdb)), "n={n}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random batch sizes, widths, scales and row norms.
+        #[test]
+        fn mnr_matches_the_per_pair_formulation(
+            n in 1usize..41,
+            dim in 1usize..80,
+            seed in 0u64..1_000_000,
+            scale_pick in 0usize..4,
+            adversarial in prop::bool::ANY,
+        ) {
+            assert_matches_per_pair(n, dim, seed, SCALES[scale_pick], adversarial);
         }
     }
 

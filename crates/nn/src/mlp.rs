@@ -24,6 +24,10 @@ pub struct Mlp {
 pub struct MlpGrad {
     /// Per-layer gradients, front (input side) to back (output side).
     pub layers: Vec<DenseGrad>,
+    /// Buffers [`Mlp::backward`] reuses from call to call: a layer's
+    /// delta, and the gradient passed down between layers (two, swapped).
+    /// Not gradient state.
+    scratch: [Vec<f32>; 3],
 }
 
 impl MlpGrad {
@@ -36,6 +40,13 @@ impl MlpGrad {
             a.accumulate(b)?;
         }
         Ok(())
+    }
+
+    /// Resets every layer's gradient to zero, keeping the allocations.
+    pub fn clear(&mut self) {
+        for g in self.layers.iter_mut() {
+            g.clear();
+        }
     }
 
     /// Scales all gradients (e.g. by `1/batch_size`).
@@ -205,36 +216,48 @@ impl Mlp {
     }
 
     /// Backward pass: accumulates gradients for every layer into `grad` and
-    /// returns the gradient w.r.t. the network input.
+    /// writes the gradient w.r.t. the network input into `d_input` (cleared
+    /// first). Intermediate buffers live in `grad`, so a training loop that
+    /// reuses one `grad` and one `d_input` allocates nothing per call.
+    ///
+    /// # Errors
+    /// Returns [`NnError::ShapeMismatch`] when `grad` or `d_output` does not
+    /// match this network.
     pub fn backward(
         &self,
         forward: &MlpForward,
         d_output: &[f32],
         grad: &mut MlpGrad,
-    ) -> Result<Vec<f32>> {
+        d_input: &mut Vec<f32>,
+    ) -> Result<()> {
         if grad.layers.len() != self.layers.len() {
             return Err(NnError::ShapeMismatch("MlpGrad layer count".into()));
         }
-        let step = |i: usize, d: &[f32], grad: &mut MlpGrad| {
+        let [delta, upper, lower] = &mut grad.scratch;
+        let last = self.layers.len() - 1;
+        for i in (0..=last).rev() {
+            // The gradient arriving at layer `i`'s output, and where the one
+            // leaving its input goes.
+            let d: &[f32] = if i == last { d_output } else { upper };
+            let out = if i == 0 { &mut *d_input } else { &mut *lower };
             self.layers[i].backward(
                 forward.layer_input(i),
                 &forward.caches[i],
                 d,
                 &mut grad.layers[i],
-            )
-        };
-        let last = self.layers.len() - 1;
-        let mut d = step(last, d_output, grad)?;
-        for i in (0..last).rev() {
-            d = step(i, &d, grad)?;
+                delta,
+                out,
+            )?;
+            std::mem::swap(upper, lower);
         }
-        Ok(d)
+        Ok(())
     }
 
     /// Zero gradients shaped for this network.
     pub fn zero_grad(&self) -> MlpGrad {
         MlpGrad {
             layers: self.layers.iter().map(|l| l.zero_grad()).collect(),
+            scratch: Default::default(),
         }
     }
 
@@ -340,7 +363,8 @@ mod tests {
         // Loss = sum of outputs.
         let f = m.forward(&x).unwrap();
         let mut grad = m.zero_grad();
-        let d_input = m.backward(&f, &[1.0; 4], &mut grad).unwrap();
+        let mut d_input = Vec::new();
+        m.backward(&f, &[1.0; 4], &mut grad, &mut d_input).unwrap();
         let loss_of = |m: &Mlp, x: &[f32]| -> f32 { m.infer(x).unwrap().iter().sum() };
         let h = 1e-3;
         for i in 0..x.len() {
@@ -383,7 +407,8 @@ mod tests {
         let x = vec![1.0; 6];
         let f = m.forward(&x).unwrap();
         let mut grad = m.zero_grad();
-        m.backward(&f, &[10.0; 4], &mut grad).unwrap();
+        m.backward(&f, &[10.0; 4], &mut grad, &mut Vec::new())
+            .unwrap();
         let before = grad.norm();
         assert!(before > 1.0);
         let factor = grad.clip_global_norm(1.0);

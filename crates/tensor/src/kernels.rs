@@ -1,7 +1,8 @@
-//! The dot-product kernels behind [`crate::vector`] and the index scans: an
-//! AVX2+FMA implementation, a portable fallback, and the once-per-process
-//! choice between them. Every intrinsic and every `unsafe` line of this
-//! crate lives here.
+//! The dispatched loops behind [`crate::vector`] and the index scans: the
+//! dot-product kernels, the two element-wise primitives (`axpy`, `scale`),
+//! an AVX2 implementation of each, a portable fallback, and the
+//! once-per-process choice between them. Every intrinsic and every `unsafe`
+//! line of this crate lives here.
 //!
 //! # Per-row layout (what makes scores bit-identical across scan shapes)
 //!
@@ -27,15 +28,39 @@
 //! `(l, l + 2)` pairing moved one score in ≈ 10 000 across the threshold).
 //! That is a last-ulp coincidence worth keeping, not a guarantee.
 //!
+//! # Element-wise loops (what makes them bit-identical on every path)
+//!
+//! [`axpy`] (`y += alpha · x`) and [`scale`] (`a *= alpha`) carry the
+//! encoder's pooling, `vecmat`, the rank-1 weight-gradient update, every
+//! embedding-table gradient row and every gradient accumulation. Each output
+//! element is one multiply and one add of its own inputs, each rounded to
+//! `f32`, so there is no order to choose: both implementations run the same
+//! zipped loop, compiled once at the build baseline (SSE2 on x86-64) and once
+//! inside an `avx2` target-feature body, where the compiler vectorises it
+//! eight lanes wide. The multiply and the add stay separate instructions —
+//! Rust never contracts `a * b + c` into a fused multiply-add, and the AVX2
+//! bodies do not enable FMA — so both produce the same bits, up to which
+//! payload a NaN carries.
+//!
+//! # Forcing the portable path
+//!
+//! A build with `--cfg mc_portable_kernels` (for example
+//! `RUSTFLAGS="--cfg mc_portable_kernels" cargo test --release`) runs the
+//! portable implementation on every host, so the `portable` constants of the
+//! trained-weight pins are checked on machines that have AVX2. It is a test
+//! switch: no runtime option selects it.
+//!
 //! # Safety inventory
 //!
-//! * The AVX2 functions are `#[target_feature(enable = "avx2,fma")]`; the
-//!   only calls into them are the dispatch arms below, reached only after
-//!   `is_x86_feature_detected!` confirmed both features.
-//! * Raw pointers are formed only in the `avx2` module, from slices cut to
-//!   size in safe code: a single row is trimmed to the operands' common
-//!   length, a scan checks that it holds whole rows. A length mismatch can
-//!   therefore shorten a dot product but never read out of bounds.
+//! * The AVX2 functions are `#[target_feature(enable = "avx2,fma")]` (the
+//!   dot kernels) or `#[target_feature(enable = "avx2")]` (the element-wise
+//!   loops); the only calls into them are the dispatch arms below, reached
+//!   only after `is_x86_feature_detected!` confirmed both features.
+//! * Raw pointers are formed only in the `avx2` module's dot kernel, from
+//!   slices cut to size in safe code: a single row is trimmed to the
+//!   operands' common length, a scan checks that it holds whole rows. A
+//!   length mismatch can therefore shorten a dot product but never read out
+//!   of bounds. The element-wise bodies index nothing: they zip slices.
 //! * Every load is an unaligned-load instruction, so nothing is assumed
 //!   about the alignment of owned or mapped (snapshot-adopted) arenas.
 
@@ -56,9 +81,13 @@ enum Isa {
 
 /// The implementation chosen for this process: detected on first use, then
 /// fixed, so every score a process computes comes from one rounding regime.
+/// A build with `--cfg mc_portable_kernels` always chooses `Portable`.
 fn isa() -> Isa {
     static ISA: OnceLock<Isa> = OnceLock::new();
     *ISA.get_or_init(|| {
+        if cfg!(mc_portable_kernels) {
+            return Isa::Portable;
+        }
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
         {
@@ -176,6 +205,29 @@ pub fn scan_u8_asym(
     }
 }
 
+/// `y += alpha · x` over the common length of the two slices, element by
+/// element (see the module docs for why every path gives the same bits).
+#[inline]
+pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+    match isa() {
+        Isa::Portable => portable::axpy(alpha, x, y),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa()` returns `Avx2Fma` only after detecting AVX2 and FMA.
+        Isa::Avx2Fma => unsafe { avx2::axpy(alpha, x, y) },
+    }
+}
+
+/// `a *= alpha`, element by element.
+#[inline]
+pub fn scale(alpha: f32, a: &mut [f32]) {
+    match isa() {
+        Isa::Portable => portable::scale(alpha, a),
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `isa()` returns `Avx2Fma` only after detecting AVX2 and FMA.
+        Isa::Avx2Fma => unsafe { avx2::scale(alpha, a) },
+    }
+}
+
 fn check_rows(dims: usize, elements: usize) {
     assert!(dims > 0, "scan: empty query");
     assert!(
@@ -236,6 +288,25 @@ pub mod portable {
     pub(super) fn scan<T: Lane>(query: &[f32], rows: &[T], mut sink: impl FnMut(usize, f32)) {
         for (i, row) in rows.chunks_exact(query.len()).enumerate() {
             sink(i, dot(query, row));
+        }
+    }
+
+    /// `y += alpha · x` over the common length: one multiply rounded to
+    /// `f32`, then one add rounded to `f32`, per element. A zipped loop, so
+    /// the compiler sees both lengths and vectorises it at whatever width
+    /// the enclosing function may use.
+    #[inline(always)]
+    pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+        for (yj, &xj) in y.iter_mut().zip(x) {
+            *yj += alpha * xj;
+        }
+    }
+
+    /// `a *= alpha`, one rounded multiply per element.
+    #[inline(always)]
+    pub fn scale(alpha: f32, a: &mut [f32]) {
+        for v in a.iter_mut() {
+            *v *= alpha;
         }
     }
 }
@@ -328,5 +399,20 @@ mod avx2 {
         for (i, row) in rows.chunks_exact(query.len()).enumerate() {
             sink(i, dot(query, row));
         }
+    }
+
+    /// [`super::portable::axpy`], inlined where 256-bit registers are
+    /// allowed. FMA is deliberately not enabled here: the multiply and the
+    /// add must stay separately rounded.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
+        super::portable::axpy(alpha, x, y);
+    }
+
+    /// [`super::portable::scale`], inlined where 256-bit registers are
+    /// allowed.
+    #[target_feature(enable = "avx2")]
+    pub(super) fn scale(alpha: f32, a: &mut [f32]) {
+        super::portable::scale(alpha, a);
     }
 }

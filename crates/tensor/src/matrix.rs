@@ -229,6 +229,18 @@ impl Matrix {
     /// # Errors
     /// Returns [`TensorError::ShapeMismatch`] when `x.len() != self.cols`.
     pub fn matvec(&self, x: &[f32]) -> Result<Vec<f32>> {
+        let mut out = Vec::new();
+        self.matvec_into(x, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Matrix::matvec`] into `out` (cleared first, capacity reused). Each
+    /// element is one [`vector::dot`] of a row with `x`, whichever branch
+    /// computes it.
+    ///
+    /// # Errors
+    /// Returns [`TensorError::ShapeMismatch`] when `x.len() != self.cols`.
+    pub fn matvec_into(&self, x: &[f32], out: &mut Vec<f32>) -> Result<()> {
         if x.len() != self.cols {
             return Err(TensorError::ShapeMismatch(format!(
                 "matvec: {}x{} * {}",
@@ -239,18 +251,20 @@ impl Matrix {
         }
         let flops = self.rows * self.cols;
         if flops >= PARALLEL_FLOP_THRESHOLD && self.rows > 1 {
-            Ok(self
+            *out = self
                 .data
                 .par_chunks(self.cols)
                 .map(|row| vector::dot(row, x))
-                .collect())
+                .collect();
         } else {
-            Ok(self
-                .data
-                .chunks_exact(self.cols)
-                .map(|row| vector::dot(row, x))
-                .collect())
+            out.clear();
+            out.extend(
+                self.data
+                    .chunks_exact(self.cols)
+                    .map(|row| vector::dot(row, x)),
+            );
         }
+        Ok(())
     }
 
     /// Vector–matrix product `x^T * self` (length-`cols` result).

@@ -185,32 +185,30 @@ pub fn normalize(a: &mut [f32]) {
 
 /// `y += alpha * x` (the BLAS AXPY primitive) over the common length of the
 /// two slices: the inner loop of the encoder's pooling and `vecmat`, of
-/// every rank-1 gradient update and of every gradient accumulation.
+/// every rank-1 gradient update, every embedding-table gradient row and
+/// every gradient accumulation.
 ///
-/// Written as a zipped iterator loop so the compiler sees both lengths, drops
-/// the bounds checks and vectorises it at whatever width the build targets.
-/// That is free of consequences for the result: each output element is one
-/// multiply rounded to `f32` and one add rounded to `f32` of its own two
-/// inputs — there is no order to change, Rust never contracts `a * b + c`
-/// into a fused multiply-add, and SIMD `mul`/`add`/`div`/`sqrt` round exactly
-/// as their scalar forms do. *Reductions* are the opposite case: their result
-/// depends on the order of the additions, so each keeps one written-out
-/// order — [`dot`] and the norms in [`crate::kernels`], [`sum`] in its four
-/// accumulators — that no rewrite of this file may change.
+/// Dispatched like [`dot`]: the process runs the loop eight lanes wide when
+/// the CPU has AVX2 and at the build baseline's width otherwise. That is
+/// free of consequences for the result: each output element is one multiply
+/// rounded to `f32` and one add rounded to `f32` of its own two inputs —
+/// there is no order to change, Rust never contracts `a * b + c` into a
+/// fused multiply-add, and SIMD `mul`/`add`/`div`/`sqrt` round exactly as
+/// their scalar forms do (see [`crate::kernels`]). *Reductions* are the
+/// opposite case: their result depends on the order of the additions, so
+/// each keeps one written-out order — [`dot`] and the norms in
+/// [`crate::kernels`], [`sum`] in its four accumulators — that no rewrite of
+/// this file may change.
 #[inline]
 pub fn axpy(alpha: f32, x: &[f32], y: &mut [f32]) {
     debug_assert_eq!(x.len(), y.len(), "axpy: length mismatch");
-    for (yj, &xj) in y.iter_mut().zip(x) {
-        *yj += alpha * xj;
-    }
+    kernels::axpy(alpha, x, y);
 }
 
-/// `a *= alpha` in place (element-wise, so free to vectorise — see [`axpy`]).
+/// `a *= alpha` in place (element-wise and dispatched — see [`axpy`]).
 #[inline]
 pub fn scale(alpha: f32, a: &mut [f32]) {
-    for x in a.iter_mut() {
-        *x *= alpha;
-    }
+    kernels::scale(alpha, a);
 }
 
 /// Element-wise `a - b` into a freshly allocated `Vec`.

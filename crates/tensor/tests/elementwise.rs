@@ -1,16 +1,24 @@
 //! The element-wise primitives (`vector::{axpy, scale}` and the rescale of
-//! `vector::normalize`) are plain iterator loops the compiler is free to
-//! vectorise at any width. That freedom is safe only because each output
-//! element is a fixed expression of its own inputs; this file checks it, bit
-//! for bit, against loops the optimiser cannot touch (every operation goes
-//! through `black_box`).
+//! `vector::normalize`) are plain iterator loops, dispatched like the dot
+//! kernels: compiled eight lanes wide inside an AVX2 target-feature body on
+//! CPUs that have it, at the build baseline's width otherwise. That freedom
+//! is safe only because each output element is a fixed expression of its
+//! own inputs; this file checks it, bit for bit, against loops the optimiser
+//! cannot touch (every operation goes through `black_box`) and against the
+//! portable implementation.
 //!
 //! Debug builds do not vectorise, so the comparison only exercises the
 //! shipped code under `--release`; CI runs this file in both profiles.
 
 use std::hint::black_box;
 
-use mc_tensor::vector;
+use mc_tensor::{kernels, vector};
+
+/// Every remainder shape up to two whole 32-float steps of the AVX2 body,
+/// plus a long vector.
+fn lengths() -> impl Iterator<Item = usize> {
+    (0..=67).chain([256])
+}
 
 /// Values where a wrong lane, a fused multiply-add or a flushed subnormal
 /// would show: signed zeros, subnormals, the extremes, infinities and NaN.
@@ -69,7 +77,7 @@ fn bits(values: &[f32]) -> Vec<u32> {
 
 #[test]
 fn axpy_is_bit_equal_to_the_scalar_loop() {
-    for n in 0..=67 {
+    for n in lengths() {
         for (case, &alpha) in ALPHAS.iter().enumerate() {
             let x = adversarial(n, case as u64, 3.0);
             let y = adversarial(n, case as u64 + 100, 1.0e3);
@@ -87,7 +95,7 @@ fn axpy_is_bit_equal_to_the_scalar_loop() {
 
 #[test]
 fn scale_is_bit_equal_to_the_scalar_loop() {
-    for n in 0..=67 {
+    for n in lengths() {
         for (case, &alpha) in ALPHAS.iter().enumerate() {
             let a = adversarial(n, case as u64 + 7, 1.0e-3);
             let expected: Vec<f32> = a.iter().map(|&v| black_box(v * alpha)).collect();
@@ -125,6 +133,39 @@ fn normalize_rescales_bit_equal_to_the_scalar_loop() {
             vector::normalize(&mut actual);
             assert_eq!(bits(&actual), bits(&expected), "n={n} norm={norm:e}");
         }
+    }
+}
+
+#[test]
+fn dispatched_element_wise_loops_are_bit_equal_to_portable() {
+    for n in lengths() {
+        for (case, &alpha) in ALPHAS.iter().enumerate() {
+            let x = adversarial(n, case as u64 + 31, 5.0);
+            let y = adversarial(n, case as u64 + 131, 2.0e2);
+            let (mut dispatched, mut portable) = (y.clone(), y);
+            kernels::axpy(alpha, &x, &mut dispatched);
+            kernels::portable::axpy(alpha, &x, &mut portable);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&portable),
+                "axpy n={n} alpha={alpha:e}"
+            );
+            let (mut dispatched, mut portable) = (x.clone(), x);
+            kernels::scale(alpha, &mut dispatched);
+            kernels::portable::scale(alpha, &mut portable);
+            assert_eq!(
+                bits(&dispatched),
+                bits(&portable),
+                "scale n={n} alpha={alpha:e}"
+            );
+        }
+    }
+}
+
+#[test]
+fn forced_portable_build_runs_the_portable_kernels() {
+    if cfg!(mc_portable_kernels) {
+        assert_eq!(kernels::active_isa(), "portable");
     }
 }
 
