@@ -402,7 +402,9 @@ mod tests {
         let hits = idx.search(&query, 5, 0.0).unwrap();
         assert_eq!(hits[0].id, 99_999);
         assert!(hits[0].score > 0.99);
-        assert_eq!(idx.storage_bytes(), 3001 * (dims * 4 + 8 + 12));
+        // Row + id + the pre-screen shadow (codes, 16 bytes of bound
+        // constants) + the id → position entry.
+        assert_eq!(idx.storage_bytes(), 3001 * (dims * 4 + 8 + dims + 16 + 12));
     }
 
     #[test]

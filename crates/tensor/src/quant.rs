@@ -68,56 +68,45 @@ impl QuantizedVec {
     ///   with `scale = 0`, `min = 0` rather than propagating `NaN`/`∞` into
     ///   the dequantisation constants.
     pub fn quantize(values: &[f32]) -> Self {
+        let mut codes = vec![0; values.len()];
+        let (scale, min) = Self::quantize_into(values, &mut codes);
+        Self { codes, scale, min }
+    }
+
+    /// [`Self::quantize`] without the allocation: writes one code per value
+    /// into `codes` and returns `(scale, min)`. The two passes (the finite
+    /// range, then the codes) dispatch through `crate::kernels`, whose every
+    /// implementation writes the codes the scalar
+    /// `((v − min) · inv_scale).round().clamp(0.0, 255.0) as u8` would. A
+    /// zero `min` is always `+0.0`, so the constants carry no sign-of-zero
+    /// difference between implementations either.
+    ///
+    /// # Panics
+    /// Panics if `codes` and `values` differ in length.
+    pub fn quantize_into(values: &[f32], codes: &mut [u8]) -> (f32, f32) {
+        assert_eq!(codes.len(), values.len(), "quantize_into: length mismatch");
         if values.is_empty() {
-            return Self {
-                codes: Vec::new(),
-                scale: 1.0,
-                min: 0.0,
-            };
+            return (1.0, 0.0);
         }
-        let mut min = f32::INFINITY;
-        let mut max = f32::NEG_INFINITY;
-        for &v in values {
-            if v.is_finite() {
-                min = min.min(v);
-                max = max.max(v);
-            }
-        }
+        let (min, max) = crate::kernels::finite_min_max(values);
         if min > max {
             // No finite value at all: deterministic all-zero codes with
             // harmless constants.
-            return Self {
-                codes: vec![0; values.len()],
-                scale: 0.0,
-                min: 0.0,
-            };
+            codes.fill(0);
+            return (0.0, 0.0);
         }
+        // `-0.0 + 0.0` is `+0.0`; every other value is unchanged.
+        let min = min + 0.0;
         let range = max - min;
         if range <= 0.0 {
             // Constant vector: one level suffices and reconstruction is
             // exact.
-            return Self {
-                codes: vec![0; values.len()],
-                scale: 0.0,
-                min,
-            };
+            codes.fill(0);
+            return (0.0, min);
         }
         let scale = range / 255.0;
-        let inv_scale = 255.0 / range;
-        let codes = values
-            .iter()
-            .map(|&v| {
-                if v.is_finite() {
-                    (((v - min) * inv_scale).round().clamp(0.0, 255.0)) as u8
-                } else if v == f32::INFINITY {
-                    255
-                } else {
-                    // NaN and -inf: pin to the bottom of the range.
-                    0
-                }
-            })
-            .collect();
-        Self { codes, scale, min }
+        crate::kernels::quantize_u8(values, min, 255.0 / range, codes);
+        (scale, min)
     }
 
     /// Sum of the codes, widened to `u32` — the per-row constant of the
@@ -189,6 +178,150 @@ impl QuantizedVec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The scalar quantiser `quantize` was before it dispatched: the
+    /// reference the kernels must reproduce code for code.
+    fn quantize_reference(values: &[f32]) -> QuantizedVec {
+        if values.is_empty() {
+            return QuantizedVec {
+                codes: Vec::new(),
+                scale: 1.0,
+                min: 0.0,
+            };
+        }
+        let mut min = f32::INFINITY;
+        let mut max = f32::NEG_INFINITY;
+        for &v in values {
+            if v.is_finite() {
+                min = min.min(v);
+                max = max.max(v);
+            }
+        }
+        if min > max {
+            return QuantizedVec {
+                codes: vec![0; values.len()],
+                scale: 0.0,
+                min: 0.0,
+            };
+        }
+        let range = max - min;
+        if range <= 0.0 {
+            return QuantizedVec {
+                codes: vec![0; values.len()],
+                scale: 0.0,
+                min,
+            };
+        }
+        let scale = range / 255.0;
+        let inv_scale = 255.0 / range;
+        let codes = values
+            .iter()
+            .map(|&v| {
+                if v.is_finite() {
+                    (((v - min) * inv_scale).round().clamp(0.0, 255.0)) as u8
+                } else if v == f32::INFINITY {
+                    255
+                } else {
+                    0
+                }
+            })
+            .collect();
+        QuantizedVec { codes, scale, min }
+    }
+
+    /// Codes and scale bit for bit; `min` by value, since the reference's
+    /// `f32::min` may return either zero when `+0.0` and `-0.0` tie.
+    fn assert_same_as_reference(values: &[f32]) {
+        let got = QuantizedVec::quantize(values);
+        let want = quantize_reference(values);
+        assert_eq!(got.codes, want.codes, "codes of {values:?}");
+        assert_eq!(
+            got.scale.to_bits(),
+            want.scale.to_bits(),
+            "scale of {values:?}"
+        );
+        assert!(
+            got.min.to_bits() == want.min.to_bits() || (got.min == 0.0 && want.min == 0.0),
+            "min of {values:?}: {} vs {}",
+            got.min,
+            want.min
+        );
+        let mut codes = vec![7u8; values.len()];
+        assert_eq!(
+            QuantizedVec::quantize_into(values, &mut codes),
+            (got.scale, got.min)
+        );
+        assert_eq!(codes, got.codes);
+    }
+
+    /// Values drawn from the edges the quantiser must get right: exact `.5`
+    /// ties of the scaled value, non-finite values, subnormals, zeros of
+    /// both signs and huge magnitudes, among ordinary ones.
+    struct EdgeValue;
+
+    impl Strategy for EdgeValue {
+        type Value = f32;
+        fn generate(&self, gen: &mut proptest::Gen) -> f32 {
+            let pick = gen.next_u64();
+            match pick % 14 {
+                0..=3 => (gen.next_f64() * 2.0 - 1.0) as f32,
+                4 | 5 => (gen.next_u64() % 511) as f32 / 510.0,
+                6 => f32::NAN,
+                7 => f32::INFINITY,
+                8 => f32::NEG_INFINITY,
+                9 => f32::from_bits(1 + (gen.next_u64() % 0x007f_ffff) as u32),
+                10 => 0.0,
+                11 => -0.0,
+                12 => 3.0e38,
+                _ => -3.0e38,
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The dispatched quantiser writes the reference's codes, across
+        /// every length the kernels split differently (32-wide body, tail).
+        #[test]
+        fn quantize_matches_the_scalar_reference(
+            values in prop::collection::vec(EdgeValue, 0..80),
+        ) {
+            assert_same_as_reference(&values);
+        }
+
+        /// Ties: values on the half-steps of a `[0, 255]` grid, where
+        /// `(v - min) * inv_scale` lands exactly on `k + 0.5`.
+        #[test]
+        fn exact_half_steps_round_away_from_zero(
+            halves in prop::collection::vec(0u32..511, 1..70),
+        ) {
+            let mut values: Vec<f32> = halves.iter().map(|&h| h as f32 * 0.5).collect();
+            values.push(0.0);
+            values.push(255.0);
+            assert_same_as_reference(&values);
+        }
+    }
+
+    #[test]
+    fn degenerate_rows_match_the_reference() {
+        let cases: [&[f32]; 8] = [
+            &[],
+            &[0.25; 40],
+            &[f32::NAN; 33],
+            &[f32::INFINITY, f32::NEG_INFINITY, f32::NAN],
+            &[1.0e-45, 2.0e-45, 0.0, 3.0e-45],
+            &[3.0e38, -3.0e38, 1.0, f32::INFINITY],
+            &[-0.0, 0.0, 0.5, -0.0],
+            &[0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 127.5, 254.5, 255.0],
+        ];
+        for values in cases {
+            assert_same_as_reference(values);
+        }
+        let long: Vec<f32> = (0..300).map(|i| (i as f32 * 0.37).sin()).collect();
+        assert_same_as_reference(&long);
+    }
 
     #[test]
     fn storage_accounting_matches_paper_scale() {

@@ -242,3 +242,138 @@ proptest! {
         prop_assert_eq!(seen, alone);
     }
 }
+
+/// `n` query steps in `-64..=64`, the range `dot_u8_i8_rows` is specified on,
+/// with both extremes present whenever `n >= 2`.
+fn steps(n: usize, seed: u64) -> Vec<i8> {
+    let mut steps: Vec<i8> = floats(n, seed).iter().map(|v| (v * 64.0) as i8).collect();
+    if n >= 2 {
+        steps[0] = -64;
+        steps[n - 1] = 64;
+    }
+    steps
+}
+
+/// The integer pre-screen kernel sums exactly, so the dispatched kernel, the
+/// portable one and an `i64` reference agree on every row, at every row
+/// length (32-wide body, scalar tail) and row count (four-row steps, the
+/// last rows alone), including all-255 codes against all-±64 steps.
+#[test]
+fn u8_i8_scan_is_exact_on_every_shape() {
+    for n in lengths() {
+        if n == 0 {
+            continue;
+        }
+        for rows in [0usize, 1, 3, 4, 5, 9] {
+            let query = steps(n, 40 + n as u64);
+            let mut all = codes(rows * n, 50 + n as u64);
+            if rows > 0 {
+                all[..n].fill(255);
+            }
+            let expect: Vec<i32> = all
+                .chunks_exact(n)
+                .map(|row| {
+                    let sum: i64 = row
+                        .iter()
+                        .zip(&query)
+                        .map(|(&c, &k)| c as i64 * k as i64)
+                        .sum();
+                    sum as i32
+                })
+                .collect();
+            let mut seen = vec![7; rows];
+            kernels::dot_u8_i8_rows(&query, &all, &mut seen);
+            let mut portable_seen = vec![7; rows];
+            portable::dot_u8_i8_rows(&query, &all, &mut portable_seen);
+            assert_eq!(
+                seen,
+                expect,
+                "n={n} rows={rows} ({})",
+                kernels::active_isa()
+            );
+            assert_eq!(portable_seen, expect, "n={n} rows={rows} portable");
+        }
+        for extreme in [64i8, -64] {
+            let mut sums = [0; 5];
+            kernels::dot_u8_i8_rows(&vec![extreme; n], &vec![255u8; 5 * n], &mut sums);
+            assert_eq!(sums, [255 * i32::from(extreme) * n as i32; 5]);
+        }
+    }
+}
+
+/// The shadow encoder's two helpers agree with their portable references:
+/// the finite range and the code norm exactly, the residual and row norms
+/// to `f64` rounding.
+#[test]
+fn range_and_residual_norms_agree_with_portable() {
+    for n in lengths() {
+        let mut values = floats(n, 60 + n as u64);
+        if n > 9 {
+            values[3] = f32::NAN;
+            values[9] = f32::INFINITY;
+        }
+        assert_eq!(
+            kernels::finite_min_max(&values),
+            portable::finite_min_max(&values),
+            "n={n}"
+        );
+        let row_codes = codes(n, 70 + n as u64);
+        let finite = floats(n, 80 + n as u64);
+        let (e, r, c) = kernels::sq8_row_norms(&finite, &row_codes, 0.0078, -1.0);
+        let (pe, pr, pc) = portable::sq8_row_norms(&finite, &row_codes, 0.0078, -1.0);
+        assert!((e - pe).abs() <= 1e-12 * pe.max(1.0), "n={n}: {e} vs {pe}");
+        assert!((r - pr).abs() <= 1e-12 * pr.max(1.0), "n={n}: {r} vs {pr}");
+        let exact: f64 = row_codes.iter().map(|&c| (c as f64 - 127.5).powi(2)).sum();
+        assert_eq!((c, pc), (exact, exact), "n={n}");
+    }
+    assert_eq!(
+        kernels::finite_min_max(&[f32::NAN; 20]),
+        (f32::INFINITY, f32::NEG_INFINITY)
+    );
+}
+
+/// The query-side quantiser writes the same steps on every path (ties to
+/// even on both), within `[-64, 64]` and within half a step of each value,
+/// and sums agree to `f64` rounding.
+#[test]
+fn query_steps_agree_with_portable() {
+    for n in lengths() {
+        let mut values = floats(n, 90 + n as u64);
+        if n > 4 {
+            // An exact tie: 0.5 / 64 of the peak.
+            values[0] = 1.0;
+            values[1] = 0.5 / 64.0;
+            values[2] = -1.5 / 64.0;
+        }
+        let (mut steps, mut reference) = (vec![0i8; n], vec![0i8; n]);
+        let got = kernels::quantize_i8(&values, &mut steps);
+        let want = portable::quantize_i8(&values, &mut reference);
+        assert_eq!(steps, reference, "n={n} ({})", kernels::active_isa());
+        assert_eq!(got.step, want.step);
+        for (a, b) in [
+            (got.sum, want.sum),
+            (got.norm_sq, want.norm_sq),
+            (got.residual_sum, want.residual_sum),
+            (got.residual_norm_sq, want.residual_norm_sq),
+        ] {
+            assert!(
+                (a - b).abs() <= 1e-12 * b.abs().max(1.0),
+                "n={n}: {a} vs {b}"
+            );
+        }
+        for (&v, &k) in values.iter().zip(&steps) {
+            assert!((-64..=64).contains(&k));
+            let f = f64::from(v) - got.step * f64::from(k);
+            assert!(
+                f.abs() <= got.step * 0.5 * (1.0 + 1e-6),
+                "n={n}: {v} -> {k}"
+            );
+        }
+        if n > 4 {
+            assert_eq!(&steps[..3], &[64, 0, -2], "ties go to even");
+        }
+    }
+    let mut steps = [9i8; 3];
+    let zero = kernels::quantize_i8(&[0.0; 3], &mut steps);
+    assert_eq!((steps, zero.step, zero.norm_sq), ([0; 3], 0.0, 0.0));
+}
