@@ -1,4 +1,4 @@
-//! Regenerates the index-backend comparison table (flat vs IVF, f32 vs SQ8
+//! Regenerates the index comparison table (the flat scan over f32 vs SQ8
 //! rows).
 //!
 //! ```text

@@ -651,11 +651,10 @@ fn percentile(sorted_us: &[f64], p: f64) -> f64 {
     sorted_us[pos.min(sorted_us.len() - 1)]
 }
 
-/// Measures one tier (every backend × codec combination at `dims`), adds a
-/// table row per backend and returns the measurements in `backends` order.
-/// The **first** backend must be the exact f32 flat scan: its hit lists
-/// double as the recall@5 ground truth for the rest, so no separate truth
-/// index is built.
+/// Measures one tier (every codec at `dims`), adds a table row per codec
+/// and returns the measurements in `backends` order. The **first** backend
+/// must be the exact f32 flat scan: its hit lists double as the recall@5
+/// ground truth for the rest, so no separate truth index is built.
 fn measure_tier(
     entries: usize,
     dims: usize,
@@ -675,8 +674,7 @@ fn measure_tier(
 
     // Topic-clustered vectors and paraphrase-style probes: the shape a
     // trained encoder actually produces over a cache (see
-    // `mc_workloads::embeddings`). Uniform random vectors would be the
-    // degenerate no-structure case no ANN index can prune.
+    // `mc_workloads::embeddings`).
     let cloud = mc_workloads::EmbeddingCloud::generate(
         entries,
         dims,
@@ -735,10 +733,10 @@ fn measure_tier(
     rows
 }
 
-/// Index-backend comparison (beyond the paper): flat vs IVF, f32 rows vs
-/// SQ8-quantised rows, at growing cache sizes — per-lookup latency p50/p99,
-/// recall@5 against the exact f32 flat ground truth, and true
-/// `storage_bytes()`. This is the experiment behind the "index backends"
+/// Index row-codec comparison (beyond the paper): the flat scan over f32
+/// rows vs SQ8-quantised rows, at growing cache sizes — per-lookup latency
+/// p50/p99, recall@5 against the exact f32 ground truth, and true
+/// `storage_bytes()`. This is the experiment behind the "Vector index"
 /// section of the README.
 pub fn run_index_backends() {
     run_index_backends_with(&[1_000, 10_000, 100_000]);
@@ -747,27 +745,25 @@ pub fn run_index_backends() {
 /// [`run_index_backends`] with explicit size tiers (the CI smoke test runs
 /// the 1k tier only).
 ///
-/// Every tier measures all four backend × codec combinations at the paper's
-/// 64-d PCA-compressed embedding size; the largest tier additionally runs
-/// the flat pair at the native SBERT 768 dimensions — the regime the paper's
-/// storage argument is about, where the SQ8 scan's 4× byte reduction is
-/// plainly memory-bandwidth-bound. The closing speed-up / bytes-ratio line
-/// comes from that 768-d pair.
+/// Every tier measures both codecs at the paper's 64-d PCA-compressed
+/// embedding size; the largest tier additionally runs them at the native
+/// SBERT 768 dimensions — the regime the paper's storage argument is about,
+/// where the SQ8 scan's 4× byte reduction is plainly
+/// memory-bandwidth-bound. The closing speed-up / bytes-ratio line comes
+/// from that 768-d pair.
 pub fn run_index_backends_with(sizes: &[usize]) {
     use mc_store::IndexKind;
 
     const DIMS: usize = 64; // PCA-compressed embedding size from the paper
     const NATIVE_DIMS: usize = 768; // SBERT-native size (Figure 15 storage)
 
-    let all_backends: Vec<(&str, IndexKind)> = vec![
+    let backends = [
         ("flat", IndexKind::flat()),
         ("flat-sq8", IndexKind::flat_sq8()),
-        ("ivf", IndexKind::ivf()),
-        ("ivf-sq8", IndexKind::ivf_sq8()),
     ];
 
     let mut table = Table::new(
-        "Index backends - flat/IVF x f32/SQ8 rows",
+        "Vector index - flat scan x f32/SQ8 rows",
         &[
             "entries x dims",
             "backend",
@@ -780,11 +776,9 @@ pub fn run_index_backends_with(sizes: &[usize]) {
     let largest = sizes.iter().copied().max().expect("at least one size tier");
     let mut native_pair = Vec::new();
     for &entries in sizes {
-        measure_tier(entries, DIMS, &all_backends, &mut table);
+        measure_tier(entries, DIMS, &backends, &mut table);
         if entries == largest {
-            // Native-dims tier: flat pair only (IVF k-means at 100k x 768 is
-            // training cost, not scan insight).
-            native_pair = measure_tier(entries, NATIVE_DIMS, &all_backends[..2], &mut table);
+            native_pair = measure_tier(entries, NATIVE_DIMS, &backends, &mut table);
         }
     }
     let (f32_row, sq8_row) = (&native_pair[0], &native_pair[1]);

@@ -19,7 +19,7 @@
 //! repository's benchmark (`benchmark/`, see `BENCHMARK.json`) trains its
 //! model through it too. Latency, throughput and serving measurements live
 //! in that benchmark, not here; the one timing table kept is `exp_index`,
-//! the only comparison of the flat and IVF index backends.
+//! the only comparison of the index's f32 and SQ8 row codecs.
 
 pub mod experiments;
 pub mod setup;

@@ -94,21 +94,9 @@ pub fn untrained_encoder(kind: ProfileKind) -> QueryEncoder {
 /// Builds a MeanCache deployment around a trained model, using the default
 /// (flat/exact) vector-index backend.
 pub fn meancache_deployment(model: &TrainedModel) -> Deployment<MeanCache> {
-    meancache_deployment_with_index(model, mc_store::IndexKind::default())
-}
-
-/// Builds a MeanCache deployment around a trained model with an explicit
-/// vector-index backend, so experiments can compare flat vs IVF search under
-/// otherwise identical configurations.
-pub fn meancache_deployment_with_index(
-    model: &TrainedModel,
-    index: mc_store::IndexKind,
-) -> Deployment<MeanCache> {
     let cache = MeanCache::new(
         model.encoder.clone(),
-        MeanCacheConfig::default()
-            .with_threshold(model.threshold)
-            .with_index(index),
+        MeanCacheConfig::default().with_threshold(model.threshold),
     )
     .expect("valid cache config");
     Deployment::new(cache, simulated_llm(), u64::MAX, RESPONSE_TOKENS)

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use mc_embedder::{EmbeddingMemo, QueryEncoder};
-use mc_store::{AnyIndex, CacheEntry, MemoryStore, VectorIndex};
+use mc_store::{CacheEntry, FlatIndex, MemoryStore, VectorIndex};
 use mc_tensor::vector;
 use serde::{Deserialize, Serialize};
 
@@ -322,7 +322,7 @@ pub struct MeanCache {
     encoder: QueryEncoder,
     config: MeanCacheConfig,
     store: MemoryStore,
-    index: AnyIndex,
+    index: FlatIndex,
     stats: AtomicCacheStats,
     /// Optional embedding memo-cache installed by the serving layer. Only
     /// sound while the encoder is frozen — see [`EmbeddingMemo`]'s docs.
@@ -414,20 +414,19 @@ impl MeanCache {
         self.store.evictions()
     }
 
-    /// Name of the live vector-index backend (`"flat"`, `"flat-sq8"`,
-    /// `"ivf"` or `"ivf-sq8"`).
+    /// Name of the live vector index (`"flat"` or `"flat-sq8"`).
     pub fn index_kind(&self) -> &'static str {
-        self.index.kind_name()
+        self.config.index.name()
     }
 
     /// Borrow the live vector index (tests and persistence checks inspect
     /// the stored representation — e.g. SQ8 codes — through this).
-    pub fn index(&self) -> &AnyIndex {
+    pub fn index(&self) -> &FlatIndex {
         &self.index
     }
 
-    /// Bytes spent on the search structure (embeddings as indexed, plus any
-    /// backend-specific auxiliary data such as IVF centroids).
+    /// Bytes spent on the search structure (embeddings as indexed, plus the
+    /// pre-screen's shadow codes for `f32` rows).
     pub fn index_bytes(&self) -> usize {
         self.index.storage_bytes()
     }
@@ -591,7 +590,7 @@ impl MeanCache {
     /// differs from the configured one.
     pub(crate) fn install_restored(
         &mut self,
-        index: AnyIndex,
+        index: FlatIndex,
         entries: Vec<CacheEntry>,
     ) -> Result<()> {
         self.outdate_fill();
@@ -883,7 +882,7 @@ impl SemanticCache for MeanCache {
         };
         // The default (flat) backend is left out of the name so reports stay
         // comparable with pre-`VectorIndex` runs.
-        let index = match self.index.kind_name() {
+        let index = match self.index_kind() {
             "flat" => String::new(),
             other => format!("+{other}"),
         };
@@ -1425,45 +1424,6 @@ mod tests {
         assert!(cache.storage_bytes() > 0);
         assert!(cache.embedding_bytes() > 0);
         assert!(cache.name().contains("MeanCache"));
-    }
-
-    #[test]
-    fn ivf_backed_cache_behaves_like_flat_on_small_workloads() {
-        let mut flat = cache_with_threshold(0.6);
-        let mut ivf = MeanCache::new(
-            trained_like_encoder(),
-            MeanCacheConfig::default()
-                .with_threshold(0.6)
-                .with_index(mc_store::IndexKind::ivf()),
-        )
-        .unwrap();
-        assert_eq!(flat.index_kind(), "flat");
-        assert_eq!(ivf.index_kind(), "ivf");
-        assert!(ivf.name().contains("+ivf"));
-        for cache in [&mut flat, &mut ivf] {
-            cache
-                .insert(
-                    "how can I increase the battery life of my smartphone",
-                    "Lower the screen brightness.",
-                    &[],
-                )
-                .unwrap();
-            cache
-                .insert(
-                    "how do I bake sourdough bread at home",
-                    "Ferment overnight.",
-                    &[],
-                )
-                .unwrap();
-        }
-        for cache in [&mut flat, &mut ivf] {
-            let hit = cache.lookup("how can I increase the battery life of my phone", &[]);
-            assert!(hit.is_hit(), "{} must hit", cache.name());
-            assert!(cache
-                .lookup("what is the capital city of portugal", &[])
-                .is_miss());
-            assert!(cache.index_bytes() > 0);
-        }
     }
 
     #[test]

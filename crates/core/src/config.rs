@@ -32,13 +32,10 @@ pub struct MeanCacheConfig {
     /// Step size for adaptive threshold updates driven by user feedback
     /// (a reported false hit raises τ, a reported false miss lowers it).
     pub feedback_step: f32,
-    /// Which vector-index backend the cache searches with: exact
-    /// [`IndexKind::Flat`] scanning (the default, right up to a few tens of
-    /// thousands of entries) or [`IndexKind::Ivf`] approximate search for
-    /// large caches. Either backend can additionally store SQ8-quantised
-    /// rows ([`IndexKind::flat_sq8`] / [`IndexKind::ivf_sq8`]) to cut the
-    /// index's embedding bytes ~4×. See `mc_store::index` and
-    /// `mc_store::rows` for the trade-offs.
+    /// How the cache's exact [`IndexKind::Flat`] scan stores its rows:
+    /// `f32` ([`IndexKind::flat`], the default) or SQ8-quantised
+    /// ([`IndexKind::flat_sq8`], ~4× fewer embedding bytes). See
+    /// `mc_store::index` and `mc_store::rows` for the trade-offs.
     pub index: IndexKind,
     /// Number of independent shards the serving layer
     /// ([`crate::ShardedCache`]) splits the cache into. `1` (the default)
@@ -119,7 +116,6 @@ impl MeanCacheConfig {
                 self.shards
             )));
         }
-        self.index.validate()?;
         Ok(())
     }
 
@@ -208,31 +204,15 @@ mod tests {
         }
         .validate()
         .is_err());
-        let bad_index = IndexKind::Ivf(mc_store::IvfConfig {
-            nprobe: 0,
-            ..mc_store::IvfConfig::default()
-        });
-        assert!(MeanCacheConfig {
-            index: bad_index,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
     }
 
     #[test]
     fn index_backend_is_selectable() {
         let cfg = MeanCacheConfig::default();
         assert_eq!(cfg.index.name(), "flat");
-        let cfg = cfg.with_index(IndexKind::ivf());
-        assert_eq!(cfg.index.name(), "ivf");
-        assert!(cfg.validate().is_ok());
-        // The SQ8 row codec is part of the same knob.
+        // The SQ8 row codec is the knob.
         let cfg = cfg.with_index(IndexKind::flat_sq8());
         assert_eq!(cfg.index.name(), "flat-sq8");
-        assert!(cfg.validate().is_ok());
-        let cfg = cfg.with_index(IndexKind::ivf_sq8());
-        assert_eq!(cfg.index.name(), "ivf-sq8");
         assert!(cfg.validate().is_ok());
     }
 

@@ -33,11 +33,10 @@ pub struct GptCacheConfig {
     /// Network round-trip to reach the server-side cache, in seconds. Every
     /// lookup pays this even when the result is a hit.
     pub network_rtt_s: f64,
-    /// Vector-index backend for the server-side store. A server cache pools
-    /// *all* users' queries, so it crosses into ANN territory much earlier
-    /// than a per-user cache; deployments at the configured million-entry
-    /// capacity should pick [`IndexKind::Ivf`] — or [`IndexKind::ivf_sq8`]
-    /// to also quarter the resident embedding bytes.
+    /// Vector-index row codec for the server-side store. A server cache
+    /// pools *all* users' queries, so its exact scan grows with every user;
+    /// [`IndexKind::flat_sq8`] quarters the resident embedding bytes and the
+    /// bytes each scan streams.
     pub index: IndexKind,
     /// Shard count for the server-side store. The baseline stands on a
     /// [`ShardedCache`] built from [`GptCacheConfig::to_cache_config`], so

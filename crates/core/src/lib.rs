@@ -23,13 +23,12 @@
 //! evaluation drivers:
 //!
 //! * [`config`] — deployment configuration (threshold, top-k, context
-//!   checking, capacity, eviction, and the vector-index backend knob
+//!   checking, capacity, eviction, and the vector-index row codec
 //!   [`MeanCacheConfig::index`]).
 //! * [`cache`] — [`MeanCache`] itself (Algorithm 1: embed → search → verify
 //!   context → hit/miss → populate), with adaptive-threshold feedback.
-//!   Retrieval goes through `mc-store`'s `VectorIndex` seam, so the search
-//!   backend — exact [`mc_store::FlatIndex`] or IVF ANN
-//!   [`mc_store::IvfIndex`] — is a configuration choice, not a code path;
+//!   Retrieval is an exact scan of `mc-store`'s [`mc_store::FlatIndex`]
+//!   over `f32` or SQ8 rows, a configuration choice, not a code path;
 //!   [`SemanticCache::lookup_batch`] funnels whole probe batches through one
 //!   `search_batch` pass for workload replays.
 //! * [`shard`] — the concurrent serving layer: [`ShardedCache`] routes

@@ -11,8 +11,8 @@
 //!
 //! The entry log is **index-agnostic**: it stores raw `f32` embeddings (the
 //! binary layout's `[u32 dims][f32 * dims]` payload), and loading re-inserts
-//! them into whatever [`mc_store::VectorIndex`] backend the target cache's
-//! configuration selects (an IVF-backed cache re-clusters as it refills).
+//! them into the index under whichever row codec the target cache's
+//! configuration selects.
 //! [`save_cache_with_config`] / [`load_cache_with_config`] additionally
 //! round-trip the [`MeanCacheConfig`] — including its
 //! [`mc_store::IndexKind`], and therefore the row codec
@@ -711,32 +711,53 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Saves a 30-entry cache on `kind` through the log, restores it into
+    /// a fresh template and returns (original, restored).
+    fn log_round_trip(kind: mc_store::IndexKind) -> (MeanCache, MeanCache) {
+        let path = temp_path(&format!("kind_{}", kind.name()));
+        let encoder = QueryEncoder::new(ModelProfile::tiny(), 11).unwrap();
+        let config = MeanCacheConfig::default()
+            .with_threshold(0.6)
+            .with_index(kind.clone());
+        let mut cache = MeanCache::new(encoder.clone(), config.clone()).unwrap();
+        for i in 0..30 {
+            cache
+                .insert(
+                    &format!("unique query number {i}"),
+                    &format!("answer {i}"),
+                    &[],
+                )
+                .unwrap();
+        }
+        save_cache(&cache, &path).unwrap();
+        let template = MeanCache::new(encoder, config).unwrap();
+        let restored = load_cache(template, &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(restored.len(), 30);
+        assert_eq!(restored.index_kind(), kind.name());
+        (cache, restored)
+    }
+
     #[test]
     fn both_index_backends_round_trip_through_the_log() {
         use mc_store::IndexKind;
-        for kind in [IndexKind::flat(), IndexKind::ivf()] {
-            let path = temp_path(&format!("kind_{}", kind.name()));
-            let encoder = QueryEncoder::new(ModelProfile::tiny(), 11).unwrap();
-            let config = MeanCacheConfig::default()
-                .with_threshold(0.6)
-                .with_index(kind.clone());
-            let mut cache = MeanCache::new(encoder.clone(), config.clone()).unwrap();
-            for i in 0..30 {
-                cache
-                    .insert(
-                        &format!("unique query number {i}"),
-                        &format!("answer {i}"),
-                        &[],
-                    )
-                    .unwrap();
-            }
-            save_cache(&cache, &path).unwrap();
-            let template = MeanCache::new(encoder, config).unwrap();
-            let mut restored = load_cache(template, &path).unwrap();
-            assert_eq!(restored.len(), 30);
-            assert_eq!(restored.index_kind(), kind.name());
+        for kind in [IndexKind::flat(), IndexKind::flat_sq8()] {
+            let (_, mut restored) = log_round_trip(kind);
             assert!(restored.lookup("unique query number 17", &[]).is_hit());
-            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    #[test]
+    fn both_sq8_backends_round_trip_through_the_log() {
+        // The flat-SQ8 backend is the one SQ8 backend left; its restored
+        // codes must reproduce every decision of the original, scores
+        // included, bit for bit.
+        let (mut cache, mut restored) = log_round_trip(mc_store::IndexKind::flat_sq8());
+        for i in 0..30 {
+            let query = format!("unique query number {i}");
+            let before = cache.lookup(&query, &[]);
+            assert!(before.is_hit(), "{query} misses before the save");
+            assert_eq!(restored.lookup(&query, &[]), before, "{query}");
         }
     }
 
@@ -749,7 +770,7 @@ mod tests {
             encoder.clone(),
             MeanCacheConfig::default()
                 .with_threshold(0.55)
-                .with_index(IndexKind::ivf()),
+                .with_index(IndexKind::flat_sq8()),
         )
         .unwrap();
         cache
@@ -758,9 +779,9 @@ mod tests {
         save_cache_with_config(&cache, &path).unwrap();
 
         // No template: the sidecar supplies the config, including the
-        // IVF backend and the tuned threshold.
+        // SQ8 row codec and the tuned threshold.
         let mut restored = load_cache_with_config(encoder.clone(), &path).unwrap();
-        assert_eq!(restored.index_kind(), "ivf");
+        assert_eq!(restored.index_kind(), "flat-sq8");
         assert!((restored.threshold() - 0.55).abs() < 1e-6);
         assert!(restored.lookup("what is federated learning", &[]).is_hit());
 
@@ -774,37 +795,8 @@ mod tests {
     }
 
     #[test]
-    fn both_sq8_backends_round_trip_through_the_log() {
-        use mc_store::IndexKind;
-        for kind in [IndexKind::flat_sq8(), IndexKind::ivf_sq8()] {
-            let path = temp_path(&format!("kind_{}", kind.name()));
-            let encoder = QueryEncoder::new(ModelProfile::tiny(), 11).unwrap();
-            let config = MeanCacheConfig::default()
-                .with_threshold(0.6)
-                .with_index(kind.clone());
-            let mut cache = MeanCache::new(encoder.clone(), config.clone()).unwrap();
-            for i in 0..30 {
-                cache
-                    .insert(
-                        &format!("unique query number {i}"),
-                        &format!("answer {i}"),
-                        &[],
-                    )
-                    .unwrap();
-            }
-            save_cache(&cache, &path).unwrap();
-            let template = MeanCache::new(encoder, config).unwrap();
-            let mut restored = load_cache(template, &path).unwrap();
-            assert_eq!(restored.len(), 30);
-            assert_eq!(restored.index_kind(), kind.name());
-            assert!(restored.lookup("unique query number 17", &[]).is_hit());
-            std::fs::remove_file(&path).ok();
-        }
-    }
-
-    #[test]
     fn sq8_cache_round_trips_with_bit_identical_codes() {
-        use mc_store::{AnyIndex, IndexKind};
+        use mc_store::IndexKind;
         let path = temp_path("sq8_codes");
         let encoder = QueryEncoder::new(ModelProfile::tiny(), 11).unwrap();
         let mut cache = MeanCache::new(
@@ -828,10 +820,7 @@ mod tests {
         // stored codes and constants bit-for-bit.
         let restored = load_cache_with_config(encoder, &path).unwrap();
         assert_eq!(restored.index_kind(), "flat-sq8");
-        let (AnyIndex::Flat(before), AnyIndex::Flat(after)) = (cache.index(), restored.index())
-        else {
-            panic!("both caches are flat-backed")
-        };
+        let (before, after) = (cache.index(), restored.index());
         for &id in &ids {
             let (codes_a, scale_a, min_a) = before.sq8_row(id).expect("row saved");
             let (codes_b, scale_b, min_b) = after.sq8_row(id).expect("row restored");

@@ -2,9 +2,8 @@
 //!
 //! The paper's loop looks a query up and, on a miss, stores the LLM's
 //! response under the same query and conversation. This trace drives that
-//! loop on a 64-entry LRU cache (`tiny` encoder profile) over three index
-//! backends — flat, flat-SQ8 and IVF with two of eight cells probed, so
-//! probe lists and score ties take part — and pins what it decides:
+//! loop on a 64-entry LRU cache (`tiny` encoder profile) over both row
+//! codecs of the flat index — `f32` and SQ8 — and pins what it decides:
 //!
 //! * every lookup decision (hit entry id or miss), including those of
 //!   `lookup_batch` and of lookups run between a lookup and its fill;
@@ -27,7 +26,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mc_embedder::{EmbeddingMemo, ModelProfile, QueryEncoder};
-use mc_store::{EvictionPolicy, IndexKind, IvfConfig};
+use mc_store::{EvictionPolicy, IndexKind};
 use meancache::{CacheDecisionOutcome, MeanCache, MeanCacheConfig, SemanticCache};
 
 const CAPACITY: usize = 64;
@@ -274,23 +273,4 @@ fn flat_sq8_fill_trace_is_pinned() {
         coverage: [292, 104, 496, 251, 504, 1187],
     };
     assert_eq!(run(IndexKind::flat_sq8()), expected);
-}
-
-#[test]
-fn ivf_fill_trace_is_pinned() {
-    let expected = Pin {
-        decisions: 0xe008_fcd2_a4b3_b00a,
-        parents: 0x90fa_6b18_4e05_7d53,
-        evicted: 0x8ac9_aa5b_642f_6412,
-        resident: 0xca5e_4b0c_aafd_ddc1,
-        stats: 0x2262_679b_b83d_30bf,
-        coverage: [289, 105, 498, 255, 504, 1191],
-    };
-    let ivf = IndexKind::Ivf(IvfConfig {
-        nlist: 8,
-        nprobe: 2,
-        train_min: 16,
-        ..IvfConfig::default()
-    });
-    assert_eq!(run(ivf), expected);
 }

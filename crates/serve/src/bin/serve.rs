@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! serve [--addr 127.0.0.1:4077] [--shards 8] [--capacity 100000]
-//!       [--threshold 0.7] [--index flat-sq8|flat|ivf|ivf-sq8] [--seed 2024]
+//!       [--threshold 0.7] [--index flat-sq8|flat] [--seed 2024]
 //!       [--routing hash|centroid|scatter-gather] [--persist PATH]
 //!       [--fsync always|never|every-N] [--deadline-ms N] [--idle-timeout-ms N]
 //!       [--batch-max 64] [--batch-wait-us 200] [--queue-cap 1024]
@@ -121,8 +121,6 @@ fn parse_args() -> Args {
                 args.index = match value(&mut i, "--index").as_str() {
                     "flat" => IndexKind::flat(),
                     "flat-sq8" => IndexKind::flat_sq8(),
-                    "ivf" => IndexKind::ivf(),
-                    "ivf-sq8" => IndexKind::ivf_sq8(),
                     other => {
                         eprintln!("unknown index backend `{other}`");
                         std::process::exit(2);

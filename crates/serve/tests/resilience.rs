@@ -110,7 +110,7 @@ fn batch_work_panic_is_fenced_to_an_error_frame() {
         },
     );
     let result = client.lookup(fuse, &[]);
-    failpoints::clear("serve.batch.work");
+    failpoints::clear_scoped("serve.batch.work", fuse);
     match result {
         Err(ClientError::Rejected {
             code: ErrorCode::Panicked,
@@ -128,10 +128,35 @@ fn batch_work_panic_is_fenced_to_an_error_frame() {
     handle.wait();
 }
 
-/// Busy storm: a one-slot queue hammered by a pipelining flooder sheds
-/// constantly, yet a retrying client lands 100% of its calls.
+/// Busy storm: a one-slot queue hammered by a pipelining flooder sheds,
+/// yet a retrying client lands 100% of its calls.
+///
+/// The first shed is forced, not left to the scheduler: a `Hold` on the
+/// batcher's `serve.batch.work` point, scoped to the flood's texts, parks
+/// the batcher on one held probe; a second, sent only then, fills the
+/// queue; so the flooder's first lookup is refused and its first reply is
+/// `Busy`. Replies leave each connection in submission order, so the held
+/// probes ride connections of their own. The hold is cleared once the
+/// flooder has counted that `Overloaded`; the retrying client's texts never
+/// match it.
 #[test]
 fn retrying_client_survives_a_busy_storm() {
+    const FLOOD: &str = "storm flood probe";
+    /// Clears the hold however the test ends: a failed run must fail, not
+    /// park the batcher — and the server's shutdown behind it — for good.
+    struct ReleaseHold;
+    impl Drop for ReleaseHold {
+        fn drop(&mut self) {
+            failpoints::clear_scoped("serve.batch.work", FLOOD);
+        }
+    }
+    let wait_until = |done: &dyn Fn() -> bool, what: &str| {
+        let started = Instant::now();
+        while !done() {
+            assert!(started.elapsed() < Duration::from_secs(30), "{what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    };
     let config = ServeConfig {
         queue_capacity: 1,
         max_batch: 1,
@@ -141,11 +166,33 @@ fn retrying_client_survives_a_busy_storm() {
     let handle = Server::start(cache(2), &config, "127.0.0.1:0").unwrap();
     let addr = handle.addr();
 
+    failpoints::set_scoped("serve.batch.work", FLOOD, FailAction::Hold);
+    let release = ReleaseHold;
+    let held = |i: usize| {
+        std::thread::spawn(move || {
+            let mut client = Client::connect(addr).expect("holder connect");
+            client
+                .lookup(&format!("{FLOOD} held {i}"), &[])
+                .expect("held probes are served once released")
+        })
+    };
+    let parked = held(0);
+    wait_until(
+        &|| failpoints::hits("serve.batch.work", FLOOD) > 0,
+        "the batcher must park on the first held probe",
+    );
+    let queued = held(1);
+    wait_until(
+        &|| handle.queue_depth() > 0,
+        "the second held probe must fill the queue",
+    );
+
     let stop = Arc::new(AtomicBool::new(false));
     let flood_stop = stop.clone();
+    let (first_busy, busy_counted) = std::sync::mpsc::channel();
     let flooder = std::thread::spawn(move || {
         let probes: Vec<(String, Vec<String>)> = (0..32)
-            .map(|i| (format!("storm flood probe {i}"), Vec::new()))
+            .map(|i| (format!("{FLOOD} {i}"), Vec::new()))
             .collect();
         let mut busy_seen = 0u64;
         let mut client = Client::connect(addr).expect("flooder connect");
@@ -154,6 +201,7 @@ fn retrying_client_survives_a_busy_storm() {
                 Ok(_) => {}
                 Err(ClientError::Overloaded) => {
                     busy_seen += 1;
+                    let _ = first_busy.send(());
                     // The aborted window leaves unread frames behind;
                     // resync on a fresh connection.
                     if client.reconnect().is_err() {
@@ -169,6 +217,12 @@ fn retrying_client_survives_a_busy_storm() {
         }
         busy_seen
     });
+    let counted = busy_counted.recv_timeout(Duration::from_secs(30));
+    drop(release);
+    counted.expect("the flooder must count the forced Overloaded");
+    for holder in [parked, queued] {
+        holder.join().expect("holder panicked");
+    }
 
     let mut client = Client::connect_with_config(addr, ClientConfig::resilient()).unwrap();
     for i in 0..10 {

@@ -7,9 +7,10 @@
 //! L2-normalised (the encoder guarantees this), so cosine similarity reduces
 //! to a dot product.
 //!
-//! `FlatIndex` is the reference backend of the [`VectorIndex`] seam: exact,
-//! simple, and O(n·d) per lookup. The approximate [`crate::IvfIndex`] trades
-//! a little recall for sub-linear scans at large cache sizes.
+//! `FlatIndex` is the one implementation of the [`VectorIndex`] seam:
+//! exact, simple, and O(n·d) per lookup — at the sizes a per-user cache or
+//! a served shard holds (≤ a few thousand rows), a whole scan behind the
+//! integer pre-screen is what every workload runs.
 //!
 //! Rows live in a [`RowStore`], so the stored representation is a codec
 //! choice: `f32` (exact, the default) or SQ8 (4× smaller rows scanned with
@@ -44,7 +45,7 @@ use crate::{Result, StoreError};
 /// In isolation the same split search takes 80–151 µs wall / 131–163 µs CPU
 /// over six traced runs against 100 / 106 for one sequential pass, and
 /// `exp_index --crossover` is bimodal below ≈ 16 000 rows (≈ 0.6 with the
-/// second vCPU free, 1.0–1.6 without) — see README "Index backends".
+/// second vCPU free, 1.0–1.6 without) — see README "Vector index".
 /// Override via `IndexKind::Flat { parallel_threshold }`.
 pub const DEFAULT_PARALLEL_SEARCH_THRESHOLD: usize = 2_048;
 

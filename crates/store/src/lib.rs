@@ -15,17 +15,14 @@
 //!   cache's entries dumped atomically to one checksummed file
 //!   ([`write_compacted_log`]) and read back ([`read_entry_log`]), plus
 //!   [`atomic_write`], the one way any persisted file is written whole.
-//! * [`index`] — the **vector-index seam**: the [`VectorIndex`] trait every
-//!   search backend implements (the moral equivalent of SBERT
-//!   `semantic_search`, which the paper notes handles up to ~1M cached
-//!   entries), the [`IndexKind`] selection knob, and the [`AnyIndex`]
-//!   concrete dispatcher.
-//! * [`flat`] — [`FlatIndex`], the exact brute-force backend with
+//! * [`index`] — the **vector-index seam**: the [`VectorIndex`] trait (the
+//!   moral equivalent of SBERT `semantic_search`, which the paper notes
+//!   handles up to ~1M cached entries) and the [`IndexKind`] configuration
+//!   that builds the index.
+//! * [`flat`] — [`FlatIndex`], the exact brute-force index with
 //!   rayon-parallel scoring above a configurable size threshold.
-//! * [`ivf`] — [`IvfIndex`], the k-means inverted-file ANN backend
-//!   (`nlist`/`nprobe`) for large caches.
 //! * [`rows`] — the **row-codec layer**: [`RowStore`], the contiguous
-//!   `(id, row)` arena both backends store embeddings in, parameterised by
+//!   `(id, row)` arena the index stores embeddings in, parameterised by
 //!   [`Quantization`] — exact `f32` rows or SQ8 (one `u8` code per dimension
 //!   plus a per-row scale/min, ~4× smaller, scanned with a fused asymmetric
 //!   `f32 × u8` kernel). Arenas are either heap-owned or borrowed from a
@@ -36,27 +33,23 @@
 //! * [`mmap`] — the raw-syscall memory-mapping shim ([`mmap::MapRegion`])
 //!   snapshots load through, with a portable read-to-heap fallback.
 //!
-//! ## Choosing an index backend
+//! ## Choosing a row codec
 //!
-//! [`FlatIndex`] is exact and allocation-lean — the right default while a
-//! cache holds up to a few tens of thousands of entries. [`IvfIndex`] prunes
-//! the scan to `nprobe` of `nlist` k-means cells, cutting lookup cost by
-//! roughly `nlist / nprobe` at ≥0.9 recall with default settings; pick it
-//! for 100k+ entries. Orthogonally, either backend can store SQ8 rows
-//! ([`IndexKind::flat_sq8`] / [`IndexKind::ivf_sq8`]) to cut resident
-//! embedding bytes ~4× and make the scan memory-bandwidth-friendly, at a
+//! [`FlatIndex`] is exact and allocation-lean; every per-user cache and
+//! every served shard scans it whole. [`IndexKind::flat`] stores exact
+//! `f32` rows, screened by an exact integer bound before the `f32` scan.
+//! [`IndexKind::flat_sq8`] stores SQ8 rows to cut resident embedding bytes
+//! ~4× and make the scan memory-bandwidth-friendly, at a
 //! sub-quantisation-step score error (top-k ordering is preserved on
-//! anything but near-ties). All combinations round-trip through serde and
-//! the disk log, and all are driven through [`VectorIndex`] / [`AnyIndex`],
-//! so swapping backends *or codecs* is a configuration change
-//! ([`IndexKind`]), not a code change.
+//! anything but near-ties). Both round-trip through serde, the entry log and
+//! snapshots, so the codec is a configuration change ([`IndexKind`]), not a
+//! code change.
 
 pub mod disk;
 pub mod entry;
 pub mod failpoints;
 pub mod flat;
 pub mod index;
-pub mod ivf;
 pub mod memstore;
 pub mod mmap;
 pub mod policy;
@@ -67,8 +60,7 @@ pub mod wal;
 pub use disk::{atomic_write, read_entry_log, write_compacted_log};
 pub use entry::CacheEntry;
 pub use flat::{FlatIndex, DEFAULT_PARALLEL_SEARCH_THRESHOLD};
-pub use index::{AnyIndex, IndexKind, SearchHit, VectorIndex};
-pub use ivf::{IvfConfig, IvfIndex, MAX_NLIST};
+pub use index::{IndexKind, SearchHit, VectorIndex};
 pub use memstore::MemoryStore;
 pub use policy::EvictionPolicy;
 pub use rows::{Quantization, RowStore};

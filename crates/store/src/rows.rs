@@ -1,19 +1,18 @@
-//! The row-codec layer: contiguous embedding-row storage shared by both
-//! index backends, with a pluggable per-row codec.
+//! The row-codec layer: contiguous embedding-row storage behind the index,
+//! with a pluggable per-row codec.
 //!
-//! Both [`crate::FlatIndex`] and [`crate::IvfIndex`] store embeddings as
-//! parallel `ids` / row-payload arenas where row `i` belongs to `ids[i]`.
-//! [`RowStore`] owns that arena once — including the swap-remove dance — so
-//! the two backends cannot drift, and makes the *representation* of a row a
-//! codec choice ([`Quantization`]):
+//! [`crate::FlatIndex`] stores embeddings as parallel `ids` / row-payload
+//! arenas where row `i` belongs to `ids[i]`. [`RowStore`] owns that arena —
+//! including the swap-remove dance — and makes the *representation* of a row
+//! a codec choice ([`Quantization`]):
 //!
 //! * [`Quantization::F32`] — rows are raw `f32` (exact; 4 bytes/dim).
-//! * [`Quantization::Sq8`] — rows are 8-bit scalar-quantised (SQ8, the
-//!   IVF-SQ8 lineage of FAISS-style inverted files): one `u8` code per
-//!   dimension plus a per-row `scale`/`min` pair, i.e. `value ≈ min +
-//!   code · scale` (see `mc_tensor::quant::QuantizedVec`). Codes live in one
-//!   contiguous `u8` arena, so a scan streams ~4× fewer bytes than `f32` —
-//!   the hot dot-product loop becomes memory-bandwidth-friendly.
+//! * [`Quantization::Sq8`] — rows are 8-bit scalar-quantised (SQ8, as in
+//!   FAISS's scalar quantiser): one `u8` code per dimension plus a per-row
+//!   `scale`/`min` pair, i.e. `value ≈ min + code · scale` (see
+//!   `mc_tensor::quant::QuantizedVec`). Codes live in one contiguous `u8`
+//!   arena, so a scan streams ~4× fewer bytes than `f32` — the hot
+//!   dot-product loop becomes memory-bandwidth-friendly.
 //!
 //! Queries are **never quantised**: SQ8 scoring uses the asymmetric fused
 //! kernel (`mc_tensor::kernels::scan_u8_asym`) — an `f32 × u8` widening
@@ -38,10 +37,9 @@
 //! an `Sq8` store would hold) and two constants: `‖c − 127.5‖₂` and
 //! `‖e‖₂ + (dims + 16)·2⁻²³·‖r‖₂`, where `e = r − (m + s·c)` is the row's
 //! quantisation residual, both computed in `f64` and rounded up to `f32`.
-//! The shadow is derived: `push`, `replace`, `swap_remove` and
-//! `push_row_from` keep it in step, `from_arenas_f32` (mapped snapshot
-//! restore) and deserialisation rebuild it, and nothing persists it — no
-//! byte on disk changed.
+//! The shadow is derived: `push`, `replace` and `swap_remove` keep it in
+//! step, `from_arenas_f32` (mapped snapshot restore) and deserialisation
+//! rebuild it, and nothing persists it — no byte on disk changed.
 //!
 //! *The query side*, once per scan: `q = s_q·k + f` with `s_q = max|q|/64`,
 //! integer steps `k_j ∈ [−64, 64]` and residual `f`, plus `Σq`, `Σf`,
@@ -71,7 +69,7 @@
 //! and offered in row order against the same running cut, which only
 //! rises. The `TopK` therefore sees the same pushes in the same order: same
 //! hits, same score bits, same tie order, in every scan shape (whole store,
-//! split tiles, `search_batch`, IVF lists). A NaN anywhere makes the
+//! split tiles, `search_batch`). A NaN anywhere makes the
 //! comparison false, so that row is kept. A query with a non-finite value,
 //! or a nonzero query or row norm outside `[2⁻⁶⁰, 10¹⁸]` (near `f32`
 //! overflow, or where subnormal products would need absolute slack), is
@@ -115,7 +113,7 @@ use serde::{Deserialize, Serialize};
 use crate::mmap::MapRegion;
 use crate::{Result, StoreError};
 
-/// Which codec a [`RowStore`] (and therefore an index backend) stores its
+/// Which codec a [`RowStore`] (and therefore the index) stores its
 /// embedding rows in.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Quantization {
@@ -128,7 +126,7 @@ pub enum Quantization {
 }
 
 impl Quantization {
-    /// Short name for reports and backend labels.
+    /// Short name for reports and index labels.
     pub fn name(&self) -> &'static str {
         match self {
             Quantization::F32 => "f32",
@@ -513,8 +511,8 @@ impl RowStore {
 
     /// Appends a row (encoding it under the store's codec).
     ///
-    /// The caller is responsible for `embedding.len() == dims` (backends
-    /// validate at their API boundary).
+    /// The caller is responsible for `embedding.len() == dims` (the index
+    /// validates at its API boundary).
     pub fn push(&mut self, id: u64, embedding: &[f32]) {
         debug_assert_eq!(embedding.len(), self.dims, "push: row width mismatch");
         self.ids.make_mut().push(id);
@@ -557,41 +555,6 @@ impl RowStore {
                 scales.make_mut()[pos] = scale;
                 mins.make_mut()[pos] = min;
             }
-        }
-    }
-
-    /// Appends row `pos` of `other` **verbatim** — stored representation
-    /// included, so SQ8 codes survive an IVF retrain bit-identically instead
-    /// of drifting through a dequantise→requantise cycle. Both stores must
-    /// share dims and codec.
-    pub fn push_row_from(&mut self, other: &RowStore, pos: usize) {
-        debug_assert_eq!(self.dims, other.dims, "push_row_from: dims mismatch");
-        let span = pos * self.dims..(pos + 1) * self.dims;
-        self.ids.make_mut().push(other.ids.as_slice()[pos]);
-        match (&mut self.data, &other.data) {
-            (RowData::F32 { values }, RowData::F32 { values: src }) => {
-                values.make_mut().extend_from_slice(&src.as_slice()[span]);
-                self.shadow.push_from(&other.shadow, pos, self.dims);
-            }
-            (
-                RowData::Sq8 {
-                    codes,
-                    scales,
-                    mins,
-                },
-                RowData::Sq8 {
-                    codes: src_codes,
-                    scales: src_scales,
-                    mins: src_mins,
-                },
-            ) => {
-                codes
-                    .make_mut()
-                    .extend_from_slice(&src_codes.as_slice()[span]);
-                scales.make_mut().push(src_scales.as_slice()[pos]);
-                mins.make_mut().push(src_mins.as_slice()[pos]);
-            }
-            _ => panic!("push_row_from: codec mismatch"),
         }
     }
 
@@ -737,7 +700,7 @@ impl RowStore {
 
     /// True bytes held by the arenas: row payloads under the live codec plus
     /// the ids, and for `F32` rows the pre-screen's shadow (`dims` codes and
-    /// 16 bytes of bound constants per row). Backends add their own
+    /// 16 bytes of bound constants per row). The index adds its own
     /// auxiliary structures on top.
     pub fn storage_bytes(&self) -> usize {
         let payload = match &self.data {
@@ -953,18 +916,6 @@ impl Shadow {
         self.set(pos, bound);
     }
 
-    /// Appends `other`'s row `pos` verbatim.
-    fn push_from(&mut self, other: &Shadow, pos: usize, dims: usize) {
-        self.codes
-            .extend_from_slice(&other.codes[pos * dims..(pos + 1) * dims]);
-        self.push_bound(RowBound {
-            min: other.mins[pos],
-            scale: other.scales[pos],
-            code_norm: other.code_norms[pos],
-            slack: other.slacks[pos],
-        });
-    }
-
     fn swap_remove(&mut self, pos: usize, last: usize, dims: usize) {
         swap_remove_span(&mut self.codes, pos, last, dims);
         for column in [
@@ -1170,29 +1121,6 @@ mod tests {
         let alone = |store: &RowStore, row| store.scan(&query, row..row + 1, -1.0, 0, TopK::new(1));
         assert_eq!(alone(&f32_store, 77).into_sorted_vec(), [(77, exact[77])]);
         assert_eq!(alone(&sq8_store, 77).into_sorted_vec(), [(77, approx[77])]);
-    }
-
-    #[test]
-    fn push_row_from_preserves_sq8_codes_verbatim() {
-        let dims = 16;
-        let mut src = RowStore::new(dims, Quantization::Sq8);
-        let mut rng = mc_tensor::rng::seeded(5);
-        for id in 0..20u64 {
-            src.push(id, &unit(mc_tensor::rng::uniform_vec(dims, 1.0, &mut rng)));
-        }
-        let mut dst = RowStore::new(dims, Quantization::Sq8);
-        for pos in (0..src.len()).rev() {
-            dst.push_row_from(&src, pos);
-        }
-        for pos in 0..src.len() {
-            let mirrored = src.len() - 1 - pos;
-            assert_eq!(src.ids()[pos], dst.ids()[mirrored]);
-            assert_eq!(
-                src.sq8_row(pos).unwrap(),
-                dst.sq8_row(mirrored).unwrap(),
-                "codes must move bit-identically"
-            );
-        }
     }
 
     #[test]

@@ -3,10 +3,9 @@
 //!
 //! An entry log ([`crate::read_entry_log`]) is replayed one framed record at
 //! a time: decode, re-quantise, re-insert — O(n) work that at 100k+ entries
-//! (and an IVF index re-training as it grows) turns a restart into seconds
-//! or minutes. A snapshot is the opposite trade: the exact arenas the index
-//! already holds — SQ8 codes, `f32` rows, id tables, IVF centroids and
-//! posting lists — written once in their in-memory layout, so a restore is
+//! turns a restart into seconds. A snapshot is the opposite trade: the exact
+//! arenas the index already holds — SQ8 codes, `f32` rows, the id table —
+//! written once in their in-memory layout, so a restore is
 //! `mmap(2)` + checksum + pointer fixup, **zero-copy** over the file. The
 //! restored index serves reads directly off the mapped arenas
 //! ([`crate::rows`]'s copy-on-write [`RowStore`] arenas) and only
@@ -85,8 +84,7 @@ use mc_tensor::Vector;
 
 use crate::entry::CacheEntry;
 use crate::flat::FlatIndex;
-use crate::index::{AnyIndex, IndexKind};
-use crate::ivf::IvfIndex;
+use crate::index::{IndexKind, VectorIndex};
 use crate::mmap::MapRegion;
 use crate::rows::{Arena, Quantization, RowParts, RowStore};
 use crate::wal::Crc32;
@@ -115,7 +113,7 @@ pub const SEC_ENTRY_META: u32 = 1;
 pub const SEC_ENTRY_TEXT: u32 = 2;
 /// Entry embeddings: `count × dims` little-endian `f32`.
 pub const SEC_ENTRY_EMB: u32 = 3;
-/// Index shape: backend tag, row codec, dims, row count, IVF watermarks.
+/// Index shape: backend tag, row codec, dims, row count.
 pub const SEC_INDEX_META: u32 = 4;
 /// Conversation-root shard pins: `count × (u64 root_hash, u64 shard)`.
 pub const SEC_ROOT_PINS: u32 = 5;
@@ -133,20 +131,8 @@ pub const SEC_FLAT_SQ8_CODES: u32 = 12;
 pub const SEC_FLAT_SQ8_SCALES: u32 = 13;
 /// Flat backend, SQ8 codec: per-row minima.
 pub const SEC_FLAT_SQ8_MINS: u32 = 14;
-/// IVF backend: centroid matrix (`nlist × dims` f32; empty while untrained).
-pub const SEC_IVF_CENTROIDS: u32 = 20;
-/// IVF backend: per-posting-list row counts (`u64` each).
-pub const SEC_IVF_LIST_LENS: u32 = 21;
-/// IVF backend: row ids, lists concatenated in cell order.
-pub const SEC_IVF_IDS: u32 = 22;
-/// IVF backend, f32 codec: row values, lists concatenated.
-pub const SEC_IVF_F32: u32 = 23;
-/// IVF backend, SQ8 codec: row codes, lists concatenated.
-pub const SEC_IVF_SQ8_CODES: u32 = 24;
-/// IVF backend, SQ8 codec: per-row scales, lists concatenated.
-pub const SEC_IVF_SQ8_SCALES: u32 = 25;
-/// IVF backend, SQ8 codec: per-row minima, lists concatenated.
-pub const SEC_IVF_SQ8_MINS: u32 = 26;
+// Kinds 20–26 held the retired inverted-file backend's arenas; they are
+// never reused.
 
 const ENTRY_META_BYTES: usize = 48;
 const INDEX_META_BYTES: usize = 48;
@@ -163,7 +149,7 @@ pub struct SnapshotView<'a> {
     /// snapshot restore is decision-identical to replay.
     pub entries: Vec<&'a CacheEntry>,
     /// The live index whose arenas are captured verbatim.
-    pub index: &'a AnyIndex,
+    pub index: &'a FlatIndex,
     /// Conversation-root shard pins `(root_hash, shard)` owned by this
     /// snapshot's shard (empty for unsharded caches / hash routing).
     pub pins: &'a [(u64, u64)],
@@ -185,7 +171,7 @@ pub struct RestoredSnapshot {
     /// The entries, in saved (replay) order, ready for store insertion.
     pub entries: Vec<CacheEntry>,
     /// The index, rebuilt over arenas borrowed from the mapped file.
-    pub index: AnyIndex,
+    pub index: FlatIndex,
     /// Conversation-root shard pins `(root_hash, shard)`.
     pub pins: Vec<(u64, u64)>,
     /// [`LogFingerprint::len`] recorded at save time.
@@ -269,48 +255,34 @@ fn le_u64s(values: &[u64]) -> Cow<'_, [u8]> {
     }
 }
 
-fn push_row_payload<'a>(sections: &mut Vec<Section<'a>>, kinds: [u32; 4], stores: &[&'a RowStore]) {
-    // kinds = [f32_values, sq8_codes, sq8_scales, sq8_mins]; the codec of
-    // the first store decides which sections exist (all stores share it).
-    let sq8 = stores
-        .first()
-        .map(|s| s.quantization() == Quantization::Sq8)
-        .unwrap_or(false);
-    if sq8 {
-        let mut codes_sec = Section::new(kinds[1]);
-        let mut scales_sec = Section::new(kinds[2]);
-        let mut mins_sec = Section::new(kinds[3]);
-        for store in stores {
-            let (_, parts) = store.parts();
-            if let RowParts::Sq8 {
-                codes,
-                scales,
-                mins,
-            } = parts
-            {
-                codes_sec.push(Cow::Borrowed(codes));
-                scales_sec.push(le_f32s(scales));
-                mins_sec.push(le_f32s(mins));
+/// Pushes the row-payload sections of `rows` under its codec: one values
+/// section for `f32`, codes + scales + mins for SQ8.
+fn push_row_payload<'a>(sections: &mut Vec<Section<'a>>, rows: &'a RowStore) {
+    match rows.parts().1 {
+        RowParts::Sq8 {
+            codes,
+            scales,
+            mins,
+        } => {
+            for (kind, chunk) in [
+                (SEC_FLAT_SQ8_CODES, Cow::Borrowed(codes)),
+                (SEC_FLAT_SQ8_SCALES, le_f32s(scales)),
+                (SEC_FLAT_SQ8_MINS, le_f32s(mins)),
+            ] {
+                let mut section = Section::new(kind);
+                section.push(chunk);
+                sections.push(section);
             }
         }
-        sections.push(codes_sec);
-        sections.push(scales_sec);
-        sections.push(mins_sec);
-    } else {
-        let mut values_sec = Section::new(kinds[0]);
-        for store in stores {
-            let (_, parts) = store.parts();
-            if let RowParts::F32 { values } = parts {
-                values_sec.push(le_f32s(values));
-            }
+        RowParts::F32 { values } => {
+            let mut section = Section::new(SEC_FLAT_F32);
+            section.push(le_f32s(values));
+            sections.push(section);
         }
-        sections.push(values_sec);
     }
 }
 
 fn build_sections<'a>(view: &'a SnapshotView<'a>) -> Result<Vec<Section<'a>>> {
-    use crate::index::VectorIndex;
-
     let mut sections = Vec::new();
 
     // Entry sections.
@@ -342,21 +314,12 @@ fn build_sections<'a>(view: &'a SnapshotView<'a>) -> Result<Vec<Section<'a>>> {
     sections.push(text);
     sections.push(emb);
 
-    // Index shape + per-backend arena sections.
-    let (tag, rows, trained_at_len, mutations, list_count) = match view.index {
-        AnyIndex::Flat(index) => (0u32, index.len() as u64, 0, 0, 1u64),
-        AnyIndex::Ivf(index) => {
-            let (_, lists, trained_at_len, mutations) = index.snapshot_parts();
-            (
-                1u32,
-                index.len() as u64,
-                trained_at_len,
-                mutations,
-                lists.len() as u64,
-            )
-        }
-    };
-    let quant = match view.index.quantization() {
+    // Index shape + arena sections. Tag 0 is the flat backend; the two
+    // watermark words are zero and the list count one, as version 01 has
+    // always written them for a flat index.
+    let index = view.index;
+    let (tag, trained_at_len, mutations, list_count) = (0u32, 0u64, 0u64, 1u64);
+    let quant = match index.quantization() {
         Quantization::F32 => 0u32,
         Quantization::Sq8 => 1u32,
     };
@@ -364,7 +327,7 @@ fn build_sections<'a>(view: &'a SnapshotView<'a>) -> Result<Vec<Section<'a>>> {
     index_meta.extend_from_slice(&tag.to_le_bytes());
     index_meta.extend_from_slice(&quant.to_le_bytes());
     index_meta.extend_from_slice(&(dims as u64).to_le_bytes());
-    index_meta.extend_from_slice(&rows.to_le_bytes());
+    index_meta.extend_from_slice(&(index.len() as u64).to_le_bytes());
     index_meta.extend_from_slice(&trained_at_len.to_le_bytes());
     index_meta.extend_from_slice(&mutations.to_le_bytes());
     index_meta.extend_from_slice(&list_count.to_le_bytes());
@@ -372,52 +335,10 @@ fn build_sections<'a>(view: &'a SnapshotView<'a>) -> Result<Vec<Section<'a>>> {
     index_meta_sec.push(Cow::Owned(index_meta));
     sections.push(index_meta_sec);
 
-    match view.index {
-        AnyIndex::Flat(index) => {
-            let mut ids_sec = Section::new(SEC_FLAT_IDS);
-            ids_sec.push(le_u64s(index.rows().ids()));
-            sections.push(ids_sec);
-            push_row_payload(
-                &mut sections,
-                [
-                    SEC_FLAT_F32,
-                    SEC_FLAT_SQ8_CODES,
-                    SEC_FLAT_SQ8_SCALES,
-                    SEC_FLAT_SQ8_MINS,
-                ],
-                &[index.rows()],
-            );
-        }
-        AnyIndex::Ivf(index) => {
-            let (centroids, lists, _, _) = index.snapshot_parts();
-            let mut centroids_sec = Section::new(SEC_IVF_CENTROIDS);
-            centroids_sec.push(le_f32s(centroids));
-            sections.push(centroids_sec);
-            let lens: Vec<u64> = lists.iter().map(|l| l.len() as u64).collect();
-            let mut lens_sec = Section::new(SEC_IVF_LIST_LENS);
-            lens_sec.push(Cow::Owned(match le_u64s(&lens) {
-                Cow::Borrowed(b) => b.to_vec(),
-                Cow::Owned(o) => o,
-            }));
-            sections.push(lens_sec);
-            let mut ids_sec = Section::new(SEC_IVF_IDS);
-            for list in lists {
-                ids_sec.push(le_u64s(list.ids()));
-            }
-            sections.push(ids_sec);
-            let list_refs: Vec<&RowStore> = lists.iter().collect();
-            push_row_payload(
-                &mut sections,
-                [
-                    SEC_IVF_F32,
-                    SEC_IVF_SQ8_CODES,
-                    SEC_IVF_SQ8_SCALES,
-                    SEC_IVF_SQ8_MINS,
-                ],
-                &list_refs,
-            );
-        }
-    }
+    let mut ids_sec = Section::new(SEC_FLAT_IDS);
+    ids_sec.push(le_u64s(index.rows().ids()));
+    sections.push(ids_sec);
+    push_row_payload(&mut sections, index.rows());
 
     // Root pins.
     let mut pins = Vec::with_capacity(view.pins.len() * 16);
@@ -761,50 +682,44 @@ fn decode_entries(parsed: &Parsed, dims: usize) -> Result<Vec<CacheEntry>> {
     Ok(entries)
 }
 
-/// Builds a [`RowStore`] whose arenas borrow the mapped region.
-#[allow(clippy::too_many_arguments)]
+/// Builds the flat index's [`RowStore`] with arenas borrowing the mapped
+/// region.
 fn mapped_row_store(
     parsed: &Parsed,
     dims: usize,
     quant: Quantization,
     rows: usize,
-    row_start: usize,
     ids: Sec,
-    f32s: Option<Sec>,
-    sq8: Option<(Sec, Sec, Sec)>,
 ) -> Result<RowStore> {
     let region = &parsed.region;
-    let ids_arena = Arena::mapped(Arc::clone(region), ids.offset + row_start * 8, rows)?;
+    let ids_arena = Arena::mapped(Arc::clone(region), ids.offset, rows)?;
     match quant {
         Quantization::F32 => {
-            let values = f32s.ok_or_else(|| {
+            let values = parsed.section(SEC_FLAT_F32).ok_or_else(|| {
                 StoreError::Corrupt("snapshot is missing the f32 row section".into())
             })?;
-            let values_arena = Arena::mapped(
-                Arc::clone(region),
-                values.offset + row_start * dims * 4,
-                rows * dims,
-            )?;
+            let values_arena = Arena::mapped(Arc::clone(region), values.offset, rows * dims)?;
             RowStore::from_arenas_f32(dims, ids_arena, values_arena)
         }
         Quantization::Sq8 => {
-            let (codes, scales, mins) = sq8.ok_or_else(|| {
-                StoreError::Corrupt("snapshot is missing the SQ8 row sections".into())
-            })?;
-            let codes_arena = Arena::mapped(
-                Arc::clone(region),
-                codes.offset + row_start * dims,
-                rows * dims,
-            )?;
-            let scales_arena =
-                Arena::mapped(Arc::clone(region), scales.offset + row_start * 4, rows)?;
-            let mins_arena = Arena::mapped(Arc::clone(region), mins.offset + row_start * 4, rows)?;
+            let (Some(codes), Some(scales), Some(mins)) = (
+                parsed.section(SEC_FLAT_SQ8_CODES),
+                parsed.section(SEC_FLAT_SQ8_SCALES),
+                parsed.section(SEC_FLAT_SQ8_MINS),
+            ) else {
+                return Err(StoreError::Corrupt(
+                    "snapshot is missing the SQ8 row sections".into(),
+                ));
+            };
+            let codes_arena = Arena::mapped(Arc::clone(region), codes.offset, rows * dims)?;
+            let scales_arena = Arena::mapped(Arc::clone(region), scales.offset, rows)?;
+            let mins_arena = Arena::mapped(Arc::clone(region), mins.offset, rows)?;
             RowStore::from_arenas_sq8(dims, ids_arena, codes_arena, scales_arena, mins_arena)
         }
     }
 }
 
-fn build_index(parsed: &Parsed, kind: &IndexKind) -> Result<(AnyIndex, usize)> {
+fn build_index(parsed: &Parsed, kind: &IndexKind) -> Result<(FlatIndex, usize)> {
     let meta = parsed.required(SEC_INDEX_META, "INDEX_META")?;
     if meta.len != INDEX_META_BYTES {
         return Err(StoreError::Corrupt(format!(
@@ -817,9 +732,22 @@ fn build_index(parsed: &Parsed, kind: &IndexKind) -> Result<(AnyIndex, usize)> {
     let quant_code = get_u32(meta_bytes, 4);
     let dims = get_u64(meta_bytes, 8) as usize;
     let rows = get_u64(meta_bytes, 16) as usize;
-    let trained_at_len = get_u64(meta_bytes, 24);
-    let mutations = get_u64(meta_bytes, 32);
-    let list_count = get_u64(meta_bytes, 40) as usize;
+    match tag {
+        0 => {}
+        // Written by builds that still had the inverted-file backend.
+        1 => {
+            return Err(StoreError::Corrupt(
+                "snapshot was written for the retired IVF index backend; \
+                 only flat snapshots load"
+                    .into(),
+            ))
+        }
+        other => {
+            return Err(StoreError::Corrupt(format!(
+                "unknown snapshot index backend tag {other}"
+            )))
+        }
+    }
     if dims == 0 {
         return Err(StoreError::Corrupt("snapshot index has zero dims".into()));
     }
@@ -839,104 +767,18 @@ fn build_index(parsed: &Parsed, kind: &IndexKind) -> Result<(AnyIndex, usize)> {
             kind.quantization().name()
         )));
     }
-    let index = match (tag, kind) {
-        (
-            0,
-            IndexKind::Flat {
-                parallel_threshold, ..
-            },
-        ) => {
-            let ids = parsed.required(SEC_FLAT_IDS, "FLAT_IDS")?;
-            if ids.len != rows * 8 {
-                return Err(StoreError::Corrupt(format!(
-                    "FLAT_IDS holds {} bytes for {rows} rows",
-                    ids.len
-                )));
-            }
-            let store = mapped_row_store(
-                parsed,
-                dims,
-                quant,
-                rows,
-                0,
-                ids,
-                parsed.section(SEC_FLAT_F32),
-                match (
-                    parsed.section(SEC_FLAT_SQ8_CODES),
-                    parsed.section(SEC_FLAT_SQ8_SCALES),
-                    parsed.section(SEC_FLAT_SQ8_MINS),
-                ) {
-                    (Some(c), Some(s), Some(m)) => Some((c, s, m)),
-                    _ => None,
-                },
-            )?;
-            AnyIndex::Flat(FlatIndex::from_snapshot_parts(
-                dims,
-                *parallel_threshold,
-                store,
-            )?)
-        }
-        (1, IndexKind::Ivf(config)) => {
-            let centroids_sec = parsed.required(SEC_IVF_CENTROIDS, "IVF_CENTROIDS")?;
-            let lens_sec = parsed.required(SEC_IVF_LIST_LENS, "IVF_LIST_LENS")?;
-            let ids = parsed.required(SEC_IVF_IDS, "IVF_IDS")?;
-            if lens_sec.len != list_count * 8 {
-                return Err(StoreError::Corrupt(format!(
-                    "IVF_LIST_LENS holds {} bytes for {list_count} lists",
-                    lens_sec.len
-                )));
-            }
-            let lens: Vec<usize> = parsed
-                .bytes(lens_sec)
-                .chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().unwrap()) as usize)
-                .collect();
-            let total: usize = lens.iter().sum();
-            if total != rows || ids.len != rows * 8 {
-                return Err(StoreError::Corrupt(format!(
-                    "IVF lists hold {total} rows, INDEX_META claims {rows}"
-                )));
-            }
-            let centroids = read_f32s(parsed.bytes(centroids_sec));
-            let f32s = parsed.section(SEC_IVF_F32);
-            let sq8 = match (
-                parsed.section(SEC_IVF_SQ8_CODES),
-                parsed.section(SEC_IVF_SQ8_SCALES),
-                parsed.section(SEC_IVF_SQ8_MINS),
-            ) {
-                (Some(c), Some(s), Some(m)) => Some((c, s, m)),
-                _ => None,
-            };
-            let mut lists = Vec::with_capacity(list_count);
-            let mut row_start = 0usize;
-            for len in lens {
-                lists.push(mapped_row_store(
-                    parsed, dims, quant, len, row_start, ids, f32s, sq8,
-                )?);
-                row_start += len;
-            }
-            AnyIndex::Ivf(IvfIndex::from_snapshot_parts(
-                dims,
-                config.clone(),
-                centroids,
-                lists,
-                trained_at_len,
-                mutations,
-            )?)
-        }
-        (0, IndexKind::Ivf(_)) | (1, IndexKind::Flat { .. }) => {
-            return Err(StoreError::Corrupt(format!(
-                "snapshot was written for backend {} but the configuration wants {}",
-                if tag == 0 { "flat" } else { "ivf" },
-                kind.name()
-            )))
-        }
-        (other, _) => {
-            return Err(StoreError::Corrupt(format!(
-                "unknown snapshot index backend tag {other}"
-            )))
-        }
-    };
+    let ids = parsed.required(SEC_FLAT_IDS, "FLAT_IDS")?;
+    if ids.len != rows * 8 {
+        return Err(StoreError::Corrupt(format!(
+            "FLAT_IDS holds {} bytes for {rows} rows",
+            ids.len
+        )));
+    }
+    let store = mapped_row_store(parsed, dims, quant, rows, ids)?;
+    let IndexKind::Flat {
+        parallel_threshold, ..
+    } = kind;
+    let index = FlatIndex::from_snapshot_parts(dims, *parallel_threshold, store)?;
     Ok((index, dims))
 }
 
@@ -962,14 +804,16 @@ fn decode_pins(parsed: &Parsed) -> Result<Vec<(u64, u64)>> {
 
 /// Loads the snapshot at `path`, reconstructing the index **zero-copy**
 /// over the mapped file (see the module docs). `kind` is the configured
-/// backend — the snapshot must have been written for the same backend and
-/// row codec, or the load fails and the caller falls back to log replay.
+/// index — the snapshot must have been written for a flat index with the
+/// same row codec, or the load fails and the caller falls back to log
+/// replay.
 ///
 /// # Errors
 /// Returns [`StoreError::Io`] when the file cannot be read and
 /// [`StoreError::Corrupt`] for any structural problem: bad magic or
 /// version, checksum mismatch (header, table, or any section), truncated
-/// or inconsistent sections, or a backend/codec mismatch with `kind`.
+/// or inconsistent sections, a retired or unknown backend tag, or a codec
+/// mismatch with `kind`.
 /// Never panics on arbitrary bytes — the corruption suite flips bytes at
 /// every offset to hold that line.
 pub fn load_snapshot(path: &Path, kind: &IndexKind) -> Result<RestoredSnapshot> {
@@ -1003,15 +847,12 @@ pub fn load_snapshot_with(
     let parsed = parse_container(path, region)?;
     let (index, dims) = build_index(&parsed, kind)?;
     let entries = decode_entries(&parsed, dims)?;
-    {
-        use crate::index::VectorIndex;
-        if index.len() != entries.len() {
-            return Err(StoreError::Corrupt(format!(
-                "snapshot holds {} entries but indexes {} rows",
-                entries.len(),
-                index.len()
-            )));
-        }
+    if index.len() != entries.len() {
+        return Err(StoreError::Corrupt(format!(
+            "snapshot holds {} entries but indexes {} rows",
+            entries.len(),
+            index.len()
+        )));
     }
     let pins = decode_pins(&parsed)?;
     let tenant = match parsed.section(SEC_TENANT_TAG) {
@@ -1054,7 +895,7 @@ mod tests {
         ))
     }
 
-    fn build_state(kind: &IndexKind, n: usize, dims: usize) -> (Vec<CacheEntry>, AnyIndex) {
+    fn build_state(kind: &IndexKind, n: usize, dims: usize) -> (Vec<CacheEntry>, FlatIndex) {
         let mut rng = rng::seeded(42);
         let mut index = kind.build(dims).unwrap();
         let mut entries = Vec::new();
@@ -1075,7 +916,7 @@ mod tests {
         (entries, index)
     }
 
-    fn save(path: &Path, entries: &[CacheEntry], index: &AnyIndex, pins: &[(u64, u64)]) {
+    fn save(path: &Path, entries: &[CacheEntry], index: &FlatIndex, pins: &[(u64, u64)]) {
         save_snapshot(
             path,
             &SnapshotView {
@@ -1123,16 +964,10 @@ mod tests {
 
     #[test]
     fn round_trips_every_backend() {
-        for kind in [
-            IndexKind::flat(),
-            IndexKind::flat_sq8(),
-            IndexKind::ivf(),
-            IndexKind::ivf_sq8(),
-        ] {
-            // 600 entries crosses the IVF train_min, so trained state is
-            // exercised for the ivf kinds. 37 dims leaves no row of a mapped
-            // arena 32-byte aligned and gives the scan kernel a body step and
-            // a scalar tail: mapped rows must score bit-identically to owned.
+        for kind in [IndexKind::flat(), IndexKind::flat_sq8()] {
+            // 37 dims leaves no row of a mapped arena 32-byte aligned and
+            // gives the scan kernel a body step and a scalar tail: mapped
+            // rows must score bit-identically to owned.
             let (entries, index) = build_state(&kind, 600, 37);
             let path = temp_path(&format!("roundtrip_{}", kind.name()));
             save(&path, &entries, &index, &[(7, 0), (9, 1)]);
@@ -1142,7 +977,7 @@ mod tests {
                 assert_eq!(restored.pins, vec![(7, 0), (9, 1)]);
                 assert_eq!(restored.wal_len, 8);
                 assert_eq!(restored.index.len(), index.len());
-                assert_eq!(restored.index.kind_name(), index.kind_name());
+                assert_eq!(restored.index.quantization(), index.quantization());
                 // Identical search results — for SQ8, codes must have moved
                 // bit-identically (same scores, not just close ones).
                 let mut rng = rng::seeded(7);
@@ -1259,12 +1094,38 @@ mod tests {
             load_snapshot(&path, &IndexKind::flat_sq8()),
             Err(StoreError::Corrupt(_))
         ));
-        // Wrong backend.
-        assert!(matches!(
-            load_snapshot(&path, &IndexKind::ivf()),
-            Err(StoreError::Corrupt(_))
-        ));
+        // A backend tag other than flat, with every checksum made valid
+        // again: tag 1 (the retired inverted-file backend) is named as such.
+        let pristine = std::fs::read(&path).unwrap();
+        for (tag, expect) in [(1u32, "retired"), (2, "unknown")] {
+            let mut bytes = pristine.clone();
+            retag_backend(&mut bytes, tag);
+            std::fs::write(&path, &bytes).unwrap();
+            match load_snapshot(&path, &IndexKind::flat()) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains(expect), "{msg}"),
+                other => panic!("tag {tag} must be refused, got {other:?}"),
+            }
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Rewrites INDEX_META's backend tag and re-seals the section, table
+    /// and header checksums, so only the tag differs from a valid file.
+    fn retag_backend(bytes: &mut [u8], tag: u32) {
+        let count = get_u64(bytes, 8) as usize;
+        let table_end = HEADER_LEN + count * TABLE_ENTRY_LEN;
+        let entry = (HEADER_LEN..table_end)
+            .step_by(TABLE_ENTRY_LEN)
+            .find(|&base| get_u32(bytes, base) == SEC_INDEX_META)
+            .unwrap();
+        let offset = get_u64(bytes, entry + 8) as usize;
+        bytes[offset..offset + 4].copy_from_slice(&tag.to_le_bytes());
+        let crc = crate::wal::crc32(&bytes[offset..offset + INDEX_META_BYTES]);
+        bytes[entry + 24..entry + 28].copy_from_slice(&crc.to_le_bytes());
+        let crc = crate::wal::crc32(&bytes[HEADER_LEN..table_end]);
+        bytes[40..44].copy_from_slice(&crc.to_le_bytes());
+        let crc = crate::wal::crc32(&bytes[..HEADER_LEN - 4]);
+        bytes[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
     }
 
     #[test]
@@ -1297,23 +1158,6 @@ mod tests {
             assert_eq!(got, LogFingerprint::of_bytes(&other));
             assert_ne!(got, full);
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn untrained_ivf_round_trips() {
-        let kind = IndexKind::ivf_sq8();
-        // Below train_min: single untrained list.
-        let (entries, index) = build_state(&kind, 20, 8);
-        let path = temp_path("untrained");
-        save(&path, &entries, &index, &[]);
-        let restored = load_snapshot(&path, &kind).unwrap();
-        assert_eq!(restored.entries, entries);
-        let AnyIndex::Ivf(ivf) = &restored.index else {
-            panic!("expected ivf");
-        };
-        assert!(!ivf.is_trained());
-        assert_eq!(ivf.nlist_active(), 1);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -16,9 +16,9 @@
 //!   the SQ8 error), near-duplicates, `±3·q` rows whose scores clamp to
 //!   ±1, zero and constant rows, NaN / ±∞ in rows and in queries;
 //! * `k` of 1, 5 and `usize::MAX`, sequential and split flat scans (split
-//!   tiles need ≥ 2 048 rows), `search_batch`, and IVF-F32 posting lists.
+//!   tiles need ≥ 2 048 rows), and `search_batch`.
 
-use mc_store::{FlatIndex, IvfConfig, IvfIndex, SearchHit, VectorIndex};
+use mc_store::{FlatIndex, SearchHit, VectorIndex};
 use mc_tensor::{ops, vector};
 use proptest::prelude::*;
 use rand::Rng;
@@ -150,43 +150,18 @@ fn flat(threshold: usize, rows: &[Vec<f32>]) -> FlatIndex {
     index
 }
 
-fn ivf(config: IvfConfig, rows: &[Vec<f32>]) -> IvfIndex {
-    let mut index = IvfIndex::new(rows[0].len(), config).unwrap();
-    for (id, row) in rows.iter().enumerate() {
-        index.add(id as u64, row).unwrap();
-    }
-    index
-}
-
 /// Every scan shape of one set of rows.
 struct Shapes {
     rows: Vec<Vec<f32>>,
     sequential: FlatIndex,
     split: FlatIndex,
-    one_list: IvfIndex,
-    every_cell: IvfIndex,
 }
 
 impl Shapes {
     fn new(rows: Vec<Vec<f32>>) -> Self {
-        // An untrained IVF index is one posting list: same keys, same hits.
-        let untrained = IvfConfig {
-            train_min: usize::MAX,
-            ..IvfConfig::default()
-        };
-        // Every cell probed: the same rows in other lists, same scores.
-        let exhaustive = IvfConfig {
-            nlist: 4,
-            nprobe: 4,
-            train_min: 16,
-            kmeans_iters: 2,
-            ..IvfConfig::default()
-        };
         Self {
             sequential: flat(usize::MAX, &rows),
             split: flat(1, &rows),
-            one_list: ivf(untrained, &rows),
-            every_cell: ivf(exhaustive, &rows),
             rows,
         }
     }
@@ -198,14 +173,9 @@ impl Shapes {
         let search = |index: &dyn VectorIndex| bits(&index.search(query, k, min_score).unwrap());
         assert_eq!(search(&self.sequential), expect, "sequential, {what}");
         assert_eq!(search(&self.split), expect, "split, {what}");
-        assert_eq!(search(&self.one_list), expect, "ivf, one list, {what}");
         for hits in self.split.search_batch(&[query; 8], k, min_score).unwrap() {
             assert_eq!(bits(&hits), expect, "batch, {what}");
         }
-        let hits = self.every_cell.search(query, k, min_score).unwrap();
-        let got: Vec<u32> = hits.iter().map(|h| h.score.to_bits()).collect();
-        let want: Vec<u32> = expect.iter().map(|&(_, s)| s).collect();
-        assert_eq!(got, want, "ivf, every cell, {what}");
     }
 }
 
@@ -422,15 +392,4 @@ fn the_screen_is_live_after_every_way_a_store_is_built() {
     std::fs::remove_file(&path).ok();
     let probes: Vec<Vec<f32>> = rows.iter().step_by(37).cloned().collect();
     live("mapped snapshot restore", &restored.index, &probes);
-
-    // IVF retrain: every posting list is rebuilt with `push_row_from`.
-    let config = IvfConfig {
-        nlist: 8,
-        nprobe: 8,
-        train_min: 256,
-        ..IvfConfig::default()
-    };
-    let trained = ivf(config, &rows);
-    assert!(trained.is_trained());
-    live("ivf retrain", &trained, &probes);
 }

@@ -4,10 +4,10 @@
 //!
 //! Equality is on score *bits*, so the same comparison proves the scan-shape
 //! invariant: a row scores identically through `vector::dot` /
-//! `dot_u8_asym` (row), a whole-store scan, a tiled split scan (parallel), a
-//! `search_batch`, and an IVF posting list.
+//! `dot_u8_asym` (row), a whole-store scan, a tiled split scan (parallel)
+//! and a `search_batch`.
 
-use mc_store::{FlatIndex, IvfConfig, IvfIndex, Quantization, SearchHit, VectorIndex};
+use mc_store::{FlatIndex, Quantization, SearchHit, VectorIndex};
 use mc_tensor::quant::QuantizedVec;
 use mc_tensor::{ops, vector};
 use proptest::prelude::*;
@@ -78,14 +78,6 @@ fn flat(dims: usize, threshold: usize, codec: Quantization, rows: &[Vec<f32>]) -
     index
 }
 
-fn ivf(dims: usize, config: IvfConfig, rows: &[Vec<f32>]) -> IvfIndex {
-    let mut index = IvfIndex::new(dims, config).unwrap();
-    for (id, row) in rows.iter().enumerate() {
-        index.add(id as u64, row).unwrap();
-    }
-    index
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -123,28 +115,6 @@ proptest! {
                 prop_assert_eq!(&bits(&hits), &expect);
             }
 
-            // An untrained IVF index is one posting list: same keys, same hits.
-            let untrained = IvfConfig { train_min: usize::MAX, quantization: codec, ..IvfConfig::default() };
-            let one_list = ivf(dims, untrained, &rows);
-            prop_assert_eq!(&bits(&one_list.search(&query, k, min_score).unwrap()), &expect);
-
-            // A trained index probing every cell holds the same rows in other
-            // lists: ties may order differently, scores may not differ at all.
-            let exhaustive = IvfConfig {
-                nlist: 4, nprobe: 4, train_min: 16, kmeans_iters: 2, quantization: codec,
-                ..IvfConfig::default()
-            };
-            let lists = ivf(dims, exhaustive, &rows);
-            let hits = lists.search(&query, k, min_score).unwrap();
-            let scores: Vec<u32> = hits.iter().map(|h| h.score.to_bits()).collect();
-            let expect_scores: Vec<u32> = expect.iter().map(|&(_, s)| s).collect();
-            prop_assert_eq!(scores, expect_scores);
-            for hit in &hits {
-                let alone = row_score(codec, &query, &rows[hit.id as usize]);
-                prop_assert_eq!(hit.score.to_bits(), alone.to_bits(), "id {}", hit.id);
-            }
-            let batched = lists.search_batch(&[query.as_slice(); 3], k, min_score).unwrap();
-            prop_assert!(batched.iter().all(|b| b == &hits));
         }
     }
 }

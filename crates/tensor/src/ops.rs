@@ -206,8 +206,7 @@ impl TopK {
 ///
 /// The materialised-scores form of [`TopK`] — O(n log k) instead of the
 /// O(n log n) full sort. The index scans feed a [`TopK`] directly; this form
-/// ranks IVF centroids and is the reference the fused scans are tested
-/// against.
+/// is the reference the fused scans are tested against.
 pub fn top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
     let mut top = TopK::new(k);
     for (idx, &score) in scores.iter().enumerate() {

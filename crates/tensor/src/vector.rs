@@ -16,8 +16,8 @@ use crate::{kernels, Result, TensorError};
 
 /// Dot product of two equal-length slices, through the process's dispatched
 /// kernel (see [`crate::kernels`] for the lane layout and reduction order).
-/// The encoder's `matvec`, training, PCA, IVF centroid ranking and
-/// context-chain verification all reach the SIMD path through this function.
+/// The encoder's `matvec`, training, PCA and context-chain verification all
+/// reach the SIMD path through this function.
 ///
 /// # Panics
 /// Panics in debug builds if the slices differ in length; in release builds

@@ -1,19 +1,19 @@
-//! Choosing a vector-index backend and replaying probes in batch.
+//! Choosing the index's row codec and replaying probes in batch.
 //!
 //! Run with:
 //! ```text
 //! cargo run --release --example index_backends
 //! ```
 //!
-//! A MeanCache searches its cached embeddings through the `VectorIndex`
-//! seam; `MeanCacheConfig::index` selects the backend. The default
-//! (`IndexKind::flat()`) scans everything exactly; `IndexKind::ivf()` prunes
-//! the scan to the `nprobe` nearest of `nlist` k-means cells — the right
-//! trade once a cache holds ~100k+ entries.
+//! A MeanCache searches its cached embeddings with an exact flat scan;
+//! `MeanCacheConfig::index` selects how that scan stores its rows. The
+//! default (`IndexKind::flat()`) keeps exact `f32` rows;
+//! `IndexKind::flat_sq8()` keeps one byte per dimension — a quarter of the
+//! resident bytes, scores within one quantisation step.
 
 use std::time::Instant;
 
-use mc_store::{IndexKind, IvfConfig, VectorIndex};
+use mc_store::{IndexKind, VectorIndex};
 use mc_workloads::EmbeddingCloud;
 
 fn main() {
@@ -25,14 +25,8 @@ fn main() {
     // The same knob a cache deployment sets via MeanCacheConfig::index /
     // GptCacheConfig::index.
     let backends = [
-        ("flat (exact)", IndexKind::flat()),
-        (
-            "ivf  (ANN)  ",
-            IndexKind::Ivf(IvfConfig {
-                nprobe: 8,
-                ..IvfConfig::default()
-            }),
-        ),
+        ("flat (f32)", IndexKind::flat()),
+        ("flat (sq8)", IndexKind::flat_sq8()),
     ];
 
     let probes = cloud.probes(200, 0.25);
@@ -67,11 +61,13 @@ fn main() {
         };
 
         println!(
-            "{label}  build {build_s:>6.2}s   {:>9.1} µs/probe   top-1 agreement vs exact {:>5.1}%   {:.1} MB",
+            "{label}  build {build_s:>6.2}s   {:>9.1} µs/probe   top-1 agreement vs f32 {:>5.1}%   {:.1} MB",
             per_probe * 1e6,
             agreement * 100.0,
             index.storage_bytes() as f64 / 1e6,
         );
     }
-    println!("\nSelect per deployment:\n  MeanCacheConfig::default().with_index(IndexKind::ivf())");
+    println!(
+        "\nSelect per deployment:\n  MeanCacheConfig::default().with_index(IndexKind::flat_sq8())"
+    );
 }

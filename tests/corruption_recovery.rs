@@ -19,14 +19,14 @@ use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use mc_embedder::{ModelProfile, QueryEncoder};
-use mc_store::wal::frame_record;
+use mc_store::wal::{crc32, frame_record};
 use mc_store::{read_entry_log, write_compacted_log, CacheEntry, StoreError};
 use mc_tensor::Vector;
 use meancache::persist::{
     load_cache_with_report, load_sharded_cache_with_report, save_cache,
     save_sharded_cache_with_config, snapshot_path,
 };
-use meancache::{MeanCache, MeanCacheConfig, SemanticCache, ShardedCache};
+use meancache::{CacheError, MeanCache, MeanCacheConfig, SemanticCache, ShardedCache};
 use proptest::prelude::*;
 
 const SHARDS: usize = 2;
@@ -275,39 +275,115 @@ proptest! {
     }
 }
 
-/// A snapshot written by a future format revision (`MCSNAP02`) must be
-/// rejected with a clean, explicit error by the raw loader — and the full
-/// load must shrug it off, replay the log, and (with snapshots enabled)
-/// rewrite the sidecar at the version this build understands.
-#[test]
-fn bumped_snapshot_version_is_rejected_cleanly() {
-    let fx = fixture();
-    let mut snap = fx.shard_snaps[0].clone();
-    assert_eq!(&snap[..8], b"MCSNAP01", "fixture snapshot magic");
-    snap[7] = b'2';
+/// Rewrites the backend tag of a snapshot's `INDEX_META` section (kind 4)
+/// and re-seals the section, table and header checksums (`docs/FORMAT.md`),
+/// so the tag is the only thing wrong with the file.
+fn retag_snapshot_backend(snap: &mut [u8], tag: u32) {
+    let u32_at = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let table_end = 64 + u64_at(snap, 8) as usize * 32;
+    let entry = (64..table_end)
+        .step_by(32)
+        .find(|&base| u32_at(snap, base) == 4)
+        .expect("snapshot has an INDEX_META section");
+    let (offset, len) = (
+        u64_at(snap, entry + 8) as usize,
+        u64_at(snap, entry + 16) as usize,
+    );
+    snap[offset..offset + 4].copy_from_slice(&tag.to_le_bytes());
+    let crc = crc32(&snap[offset..offset + len]);
+    snap[entry + 24..entry + 28].copy_from_slice(&crc.to_le_bytes());
+    let crc = crc32(&snap[64..table_end]);
+    snap[40..44].copy_from_slice(&crc.to_le_bytes());
+    let crc = crc32(&snap[..60]);
+    snap[60..64].copy_from_slice(&crc.to_le_bytes());
+}
 
-    let (dir, base) = materialize_with("snapver", fx, 0, None, Some(&snap));
-    let snap_file = snapshot_path(&dir.join(shard_log_name(0)));
-    match mc_store::load_snapshot(&snap_file, &fx.config.index) {
-        Err(StoreError::Corrupt(msg)) => assert!(
-            msg.contains("unsupported snapshot version"),
-            "version rejection must say so, got: {msg}"
-        ),
-        other => panic!("a version-bumped snapshot must be rejected, got {other:?}"),
+/// A snapshot this build cannot read must be rejected with a clean,
+/// explicit error by the raw loader — and the full load must shrug it off,
+/// replay that shard's log, answer exactly like the pristine save, and
+/// (with snapshots enabled) rewrite the snapshot in a form this build
+/// reads. Two such snapshots: one written by a future format revision
+/// (`MCSNAP02`), and one whose backend tag is 1, the inverted-file (IVF)
+/// index earlier builds could save. A config sidecar naming that index is
+/// not an accelerator: the load fails with an error naming it.
+#[test]
+fn unreadable_snapshot_or_sidecar_is_refused_cleanly() {
+    let fx = fixture();
+    let (dir, base) = materialize_with("pristine", fx, 0, None, None);
+    let (pristine, report) = load_sharded_cache_with_report(fx.encoder.clone(), &base).unwrap();
+    assert_eq!(report.snapshot_loaded, SHARDS as u64);
+    assert_eq!(report.records_replayed, 0);
+    std::fs::remove_dir_all(&dir).ok();
+
+    assert_eq!(
+        &fx.shard_snaps[0][..8],
+        b"MCSNAP01",
+        "fixture snapshot magic"
+    );
+    let mut future = fx.shard_snaps[0].clone();
+    future[7] = b'2';
+    let mut retired = fx.shard_snaps[0].clone();
+    retag_snapshot_backend(&mut retired, 1);
+    for (snap, expect) in [
+        (future, "unsupported snapshot version"),
+        (retired, "retired IVF index backend"),
+    ] {
+        let (dir, base) = materialize_with("unreadable", fx, 0, None, Some(&snap));
+        let snap_file = snapshot_path(&dir.join(shard_log_name(0)));
+        match mc_store::load_snapshot(&snap_file, &fx.config.index) {
+            Err(StoreError::Corrupt(msg)) => assert!(
+                msg.contains(expect),
+                "the rejection must say `{expect}`, got: {msg}"
+            ),
+            other => panic!("`{expect}` must be rejected, got {other:?}"),
+        }
+
+        let (cache, report) = load_sharded_cache_with_report(fx.encoder.clone(), &base)
+            .expect("replay fallback must absorb an unreadable snapshot");
+        assert_eq!(SemanticCache::len(&cache), ENTRIES);
+        assert_eq!(
+            report.snapshot_loaded,
+            SHARDS as u64 - 1,
+            "only the unreadable shard may fall back to replay"
+        );
+        assert_eq!(
+            report.records_replayed,
+            fx.shard_entries[0].len() as u64 + 1,
+            "the unreadable shard's log is replayed whole: every insert and the footer"
+        );
+        for i in 0..ENTRIES + 4 {
+            let query = format!("corruption fixture topic number {i} with unique words");
+            assert_eq!(
+                cache.probe(&query, &[]),
+                pristine.probe(&query, &[]),
+                "`{expect}` diverged on {query}"
+            );
+        }
+        // The migration pass rewrites the rejected snapshot readably.
+        assert!(mc_store::load_snapshot(&snap_file, &fx.config.index).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
-    let (cache, report) = load_sharded_cache_with_report(fx.encoder.clone(), &base)
-        .expect("replay fallback must absorb an unreadable snapshot");
-    assert_eq!(SemanticCache::len(&cache), ENTRIES);
-    assert_eq!(
-        report.snapshot_loaded,
-        SHARDS as u64 - 1,
-        "only the bumped shard may fall back to replay"
+    let sidecar = String::from_utf8(fx.sidecar.clone()).unwrap();
+    let start = sidecar
+        .find(r#"{"Flat":"#)
+        .expect("sidecar names the index");
+    let end = start + sidecar[start..].find("}}").unwrap() + 2;
+    let retired = format!(
+        r#"{}{{"Ivf":{{"nlist":0,"nprobe":8,"train_min":256}}}}{}"#,
+        &sidecar[..start],
+        &sidecar[end..]
     );
-    assert_no_garbage_served(&cache, fx);
-    // The migration pass rewrites the rejected sidecar at today's version.
-    let rewritten = std::fs::read(&snap_file).unwrap();
-    assert_eq!(&rewritten[..8], b"MCSNAP01");
+    let (dir, base) = materialize_with("retired_sidecar", fx, 0, None, None);
+    std::fs::write(dir.join("cache.log.config.json"), retired).unwrap();
+    match load_sharded_cache_with_report(fx.encoder.clone(), &base).err() {
+        Some(CacheError::InvalidConfig(msg)) => assert!(
+            msg.contains("Ivf") && msg.contains("IndexKind"),
+            "the error must name the index: {msg}"
+        ),
+        other => panic!("a sidecar naming the retired index must be refused, got {other:?}"),
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

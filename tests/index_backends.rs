@@ -1,27 +1,14 @@
-//! Integration tests of the vector-index seam: backend equivalence
-//! (IVF with `nprobe == nlist` is exactly the flat top-k), recall at default
-//! settings, eviction consistency, backend selection through
-//! `MeanCacheConfig::index`, and the SQ8 row codec (round-trip error bound,
-//! top-1 agreement with the exact scan, IVF-SQ8 recall).
+//! Integration tests of the vector-index seam: removal consistency under
+//! both row codecs, codec selection through `MeanCacheConfig::index`, and
+//! the SQ8 row codec (round-trip error bound, top-1 agreement with the exact
+//! scan, resident bytes).
 
 use mc_embedder::{ModelProfile, QueryEncoder};
-use mc_store::{IndexKind, IvfConfig, VectorIndex};
+use mc_store::{IndexKind, VectorIndex};
 use mc_tensor::quant::QuantizedVec;
 use mc_workloads::EmbeddingCloud;
 use meancache::{MeanCache, MeanCacheConfig, SemanticCache};
 use proptest::prelude::*;
-
-/// IVF configured to probe *every* cell: approximation disabled, only the
-/// partitioning differs from the flat scan.
-fn exhaustive_ivf(nlist: usize) -> IndexKind {
-    IndexKind::Ivf(IvfConfig {
-        nlist,
-        nprobe: nlist,
-        train_min: 32,
-        kmeans_iters: 4,
-        ..IvfConfig::default()
-    })
-}
 
 fn unit_vectors(n: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
     let mut rng = mc_tensor::rng::seeded(seed);
@@ -36,35 +23,6 @@ fn unit_vectors(n: usize, dims: usize, seed: u64) -> Vec<Vec<f32>> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// With `nprobe == nlist` the IVF index scans every cell, so its top-k
-    /// must equal the flat index's exactly — same ids, same scores — on
-    /// arbitrary random unit vectors.
-    #[test]
-    fn ivf_probing_all_cells_equals_flat_top_k(
-        seed in 0u64..10_000,
-        dims in 4usize..24,
-        n in 64usize..220,
-        k in 1usize..8,
-    ) {
-        let vectors = unit_vectors(n, dims, seed);
-        let mut flat = IndexKind::flat().build(dims).unwrap();
-        let mut ivf = exhaustive_ivf(5).build(dims).unwrap();
-        for (id, v) in vectors.iter().enumerate() {
-            flat.add(id as u64, v).unwrap();
-            ivf.add(id as u64, v).unwrap();
-        }
-        for query in unit_vectors(6, dims, seed ^ 0xABCD) {
-            let exact = flat.search(&query, k, -1.0).unwrap();
-            let approx = ivf.search(&query, k, -1.0).unwrap();
-            let exact_ids: Vec<u64> = exact.iter().map(|h| h.id).collect();
-            let approx_ids: Vec<u64> = approx.iter().map(|h| h.id).collect();
-            prop_assert_eq!(&exact_ids, &approx_ids);
-            for (e, a) in exact.iter().zip(&approx) {
-                prop_assert_eq!(e.score, a.score, "scores must be bit-identical");
-            }
-        }
-    }
 
     /// SQ8 quantise → dequantise reconstructs every dimension to within half
     /// a quantisation step (`scale / 2`, the codec's documented bound), on
@@ -104,6 +62,10 @@ proptest! {
             exact.add(id as u64, v).unwrap();
             quantized.add(id as u64, v).unwrap();
         }
+        // SQ8 rows really are quantised: at these 32 dims the whole index
+        // is > 2x smaller despite the fixed per-row id and constants (at
+        // 768 dims the ratio reaches ~3.9x — see exp_index).
+        prop_assert!(quantized.storage_bytes() * 2 < exact.storage_bytes());
         for probe in cloud.probes(8, 0.2) {
             let truth = exact.search(&probe, 1, -1.0).unwrap();
             let approx = quantized.search(&probe, 1, -1.0).unwrap();
@@ -113,124 +75,49 @@ proptest! {
     }
 }
 
-/// At default `nprobe` (a fraction of the cells) the IVF index must keep
-/// recall@5 ≥ 0.9 against the flat ground truth on realistic topic-clustered
-/// embeddings with paraphrase-style probes.
-#[test]
-fn ivf_recall_at_default_nprobe_stays_high() {
-    let dims = 32;
-    let entries = 10_000;
-    let cloud = EmbeddingCloud::generate(entries, dims, entries / 50, 0.6, 4242);
-    let mut flat = IndexKind::flat().build(dims).unwrap();
-    let mut ivf = IndexKind::ivf().build(dims).unwrap();
-    for (id, v) in cloud.vectors.iter().enumerate() {
-        flat.add(id as u64, v).unwrap();
-        ivf.add(id as u64, v).unwrap();
-    }
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for probe in cloud.probes(100, 0.25) {
-        let truth = flat.search(&probe, 5, -1.0).unwrap();
-        let approx = ivf.search(&probe, 5, -1.0).unwrap();
-        total += truth.len();
-        hits += truth
-            .iter()
-            .filter(|t| approx.iter().any(|a| a.id == t.id))
-            .count();
-    }
-    let recall = hits as f64 / total as f64;
-    assert!(
-        recall >= 0.9,
-        "IVF recall@5 must stay >= 0.9 at default nprobe (got {recall:.3})"
-    );
-}
-
-/// IVF-SQ8 — cell pruning *and* quantised rows — must still keep recall@5
-/// ≥ 0.9 against the exact f32 flat ground truth at 10k entries.
-#[test]
-fn ivf_sq8_recall_at_default_nprobe_stays_high() {
-    let dims = 32;
-    let entries = 10_000;
-    let cloud = EmbeddingCloud::generate(entries, dims, entries / 50, 0.6, 777);
-    let mut flat = IndexKind::flat().build(dims).unwrap();
-    let mut ivf_sq8 = IndexKind::ivf_sq8().build(dims).unwrap();
-    for (id, v) in cloud.vectors.iter().enumerate() {
-        flat.add(id as u64, v).unwrap();
-        ivf_sq8.add(id as u64, v).unwrap();
-    }
-    // SQ8 rows really are quantised: at these 32 dims the whole index is
-    // still >2x smaller despite the fixed id/cell-map/centroid overhead on
-    // top of the 4x payload saving (at 768 dims the ratio reaches ~3.9x —
-    // see exp_index).
-    assert!(ivf_sq8.storage_bytes() * 2 < flat.storage_bytes());
-    let mut hits = 0usize;
-    let mut total = 0usize;
-    for probe in cloud.probes(100, 0.25) {
-        let truth = flat.search(&probe, 5, -1.0).unwrap();
-        let approx = ivf_sq8.search(&probe, 5, -1.0).unwrap();
-        total += truth.len();
-        hits += truth
-            .iter()
-            .filter(|t| approx.iter().any(|a| a.id == t.id))
-            .count();
-    }
-    let recall = hits as f64 / total as f64;
-    assert!(
-        recall >= 0.9,
-        "IVF-SQ8 recall@5 must stay >= 0.9 at default nprobe (got {recall:.3})"
-    );
-}
-
-/// `remove` keeps both backends consistent: removed ids are gone, the rest
-/// are still found exactly, and `len`/`contains` agree between backends.
+/// `remove` keeps both codecs consistent: removed ids are gone, the rest
+/// are still found exactly, and `len`/`contains` agree between them.
 #[test]
 fn removals_keep_both_backends_consistent() {
     let dims = 16;
     let vectors = unit_vectors(600, dims, 99);
     let mut flat = IndexKind::flat().build(dims).unwrap();
-    let mut ivf = IndexKind::Ivf(IvfConfig {
-        nlist: 8,
-        nprobe: 8,
-        train_min: 64,
-        ..IvfConfig::default()
-    })
-    .build(dims)
-    .unwrap();
+    let mut sq8 = IndexKind::flat_sq8().build(dims).unwrap();
     for (id, v) in vectors.iter().enumerate() {
         flat.add(id as u64, v).unwrap();
-        ivf.add(id as u64, v).unwrap();
+        sq8.add(id as u64, v).unwrap();
     }
     // Remove a third of the entries, interleaved.
     for id in (0..600u64).step_by(3) {
         flat.remove(id).unwrap();
-        ivf.remove(id).unwrap();
+        sq8.remove(id).unwrap();
     }
-    assert_eq!(flat.len(), ivf.len());
+    assert_eq!(flat.len(), sq8.len());
     for id in 0..600u64 {
-        assert_eq!(flat.contains(id), ivf.contains(id), "id {id} diverged");
+        assert_eq!(flat.contains(id), sq8.contains(id), "id {id} diverged");
     }
     // Every surviving vector still finds itself as its own nearest
-    // neighbour in both backends.
+    // neighbour under both codecs.
     for (id, v) in vectors.iter().enumerate().skip(1).step_by(7) {
         if !flat.contains(id as u64) {
             continue;
         }
         let flat_best = flat.best_match(v, 0.99).unwrap().unwrap();
-        let ivf_best = ivf.best_match(v, 0.99).unwrap().unwrap();
+        let sq8_best = sq8.best_match(v, 0.99).unwrap().unwrap();
         assert_eq!(flat_best.id, id as u64);
-        assert_eq!(ivf_best.id, id as u64);
+        assert_eq!(sq8_best.id, id as u64);
     }
     // Double-removal errors on both.
     assert!(flat.remove(0).is_err());
-    assert!(ivf.remove(0).is_err());
+    assert!(sq8.remove(0).is_err());
 }
 
-/// `MeanCacheConfig::index` selects the backend, and a full cache lifecycle
-/// (insert → hit → evict under capacity pressure) works identically through
-/// both.
+/// `MeanCacheConfig::index` selects the row codec, and a full cache
+/// lifecycle (insert → hit → evict under capacity pressure) works
+/// identically through both.
 #[test]
 fn meancache_config_selects_and_exercises_both_backends() {
-    for kind in [IndexKind::flat(), IndexKind::ivf()] {
+    for kind in [IndexKind::flat(), IndexKind::flat_sq8()] {
         let encoder = QueryEncoder::new(ModelProfile::tiny(), 3).unwrap();
         let mut cache = MeanCache::new(
             encoder,
