@@ -29,14 +29,6 @@ fn num_threads() -> usize {
     pool::global_pool().threads()
 }
 
-/// The number of worker threads a parallel call will use at most — the
-/// global pool's size (one worker per core available at first use), matching
-/// what real rayon reports here. Harnesses use this to annotate measurements
-/// with the parallelism actually available.
-pub fn current_num_threads() -> usize {
-    num_threads()
-}
-
 /// A pre-split mutable block waiting to be claimed by one scope worker,
 /// stored next to the results it produces (see [`MapIterMut::collect`]).
 type MutBlockSlot<'a, T, R> = Mutex<(Option<&'a mut [T]>, Vec<R>)>;
@@ -476,11 +468,6 @@ mod tests {
         for (i, chunk) in data.chunks(10).enumerate() {
             assert!(chunk.iter().all(|&x| x == i));
         }
-    }
-
-    #[test]
-    fn current_num_threads_reports_at_least_one() {
-        assert!(crate::current_num_threads() >= 1);
     }
 
     #[test]

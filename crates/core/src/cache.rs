@@ -164,7 +164,7 @@ impl Clone for AtomicCacheStats {
 ///   access metadata change, so any number of threads may probe one cache at
 ///   once (all statistics live in atomics).
 /// * [`SemanticCache::commit`] — the narrow write half (`&mut self`): record
-///   access metadata (LRU/LFU bookkeeping) for a decision that was actually
+///   access metadata (LRU bookkeeping) for a decision that was actually
 ///   served. Inserts and feedback keep their own `&mut` entry points.
 ///
 /// [`SemanticCache::lookup`] is the sequential composition of the two and
@@ -179,7 +179,7 @@ pub trait SemanticCache {
     /// The write half of a lookup: records access metadata (eviction-policy
     /// bookkeeping) for an outcome that was served to the user. A miss is a
     /// no-op. Decisions are unaffected — skipping `commit` only degrades
-    /// LRU/LFU accuracy, never correctness.
+    /// LRU accuracy, never correctness.
     fn commit(&mut self, outcome: &CacheDecisionOutcome);
 
     /// Looks up a query under the given conversational context (most recent
@@ -343,7 +343,7 @@ impl MeanCache {
     /// invalid.
     pub fn new(encoder: QueryEncoder, config: MeanCacheConfig) -> Result<Self> {
         config.validate()?;
-        let store = MemoryStore::new(config.capacity, config.eviction)?;
+        let store = MemoryStore::new(config.capacity)?;
         let index = config.index.build(encoder.output_dim())?;
         Ok(Self {
             encoder,
@@ -899,7 +899,6 @@ impl SemanticCache for MeanCache {
 mod tests {
     use super::*;
     use mc_embedder::ModelProfile;
-    use mc_store::EvictionPolicy;
 
     fn trained_like_encoder() -> QueryEncoder {
         // An untrained tiny encoder is sufficient: hashed n-gram features give
@@ -1280,9 +1279,10 @@ mod tests {
         let encoder = trained_like_encoder();
         let mut cache = MeanCache::new(
             encoder,
-            MeanCacheConfig::default()
-                .with_threshold(0.6)
-                .with_context_checking(false),
+            MeanCacheConfig {
+                context_checking: false,
+                ..MeanCacheConfig::default().with_threshold(0.6)
+            },
         )
         .unwrap();
         cache
@@ -1372,7 +1372,6 @@ mod tests {
             MeanCacheConfig {
                 capacity: 3,
                 threshold: 0.3,
-                eviction: EvictionPolicy::Fifo,
                 ..MeanCacheConfig::default()
             },
         )

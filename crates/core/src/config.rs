@@ -1,6 +1,6 @@
 //! Deployment configuration of the local semantic cache.
 
-use mc_store::{EvictionPolicy, IndexKind};
+use mc_store::IndexKind;
 use serde::{Deserialize, Serialize};
 
 use crate::shard::RoutingMode;
@@ -25,10 +25,9 @@ pub struct MeanCacheConfig {
     /// Cosine threshold used when matching the probe's conversational
     /// context against a candidate's cached parent query.
     pub context_threshold: f32,
-    /// Maximum number of cached entries before eviction.
+    /// Maximum number of cached entries before the least recently used one
+    /// is evicted (Figure 1 shows LRU).
     pub capacity: usize,
-    /// Eviction policy (Figure 1 shows LRU).
-    pub eviction: EvictionPolicy,
     /// Step size for adaptive threshold updates driven by user feedback
     /// (a reported false hit raises τ, a reported false miss lowers it).
     pub feedback_step: f32,
@@ -67,7 +66,6 @@ impl Default for MeanCacheConfig {
             context_checking: true,
             context_threshold: 0.7,
             capacity: 100_000,
-            eviction: EvictionPolicy::Lru,
             feedback_step: 0.02,
             index: IndexKind::default(),
             shards: 1,
@@ -135,12 +133,6 @@ impl MeanCacheConfig {
         self
     }
 
-    /// Returns a copy with context checking toggled.
-    pub fn with_context_checking(mut self, enabled: bool) -> Self {
-        self.context_checking = enabled;
-        self
-    }
-
     /// Returns a copy with the vector-index backend replaced.
     pub fn with_index(mut self, index: IndexKind) -> Self {
         self.index = index;
@@ -169,7 +161,6 @@ mod tests {
         let cfg = MeanCacheConfig::default();
         assert!(cfg.validate().is_ok());
         assert!(cfg.context_checking);
-        assert_eq!(cfg.eviction, EvictionPolicy::Lru);
     }
 
     #[test]
@@ -218,12 +209,9 @@ mod tests {
 
     #[test]
     fn builder_helpers_modify_copies() {
-        let cfg = MeanCacheConfig::default()
-            .with_threshold(0.83)
-            .with_context_checking(false);
+        let cfg = MeanCacheConfig::default().with_threshold(0.83);
         assert_eq!(cfg.threshold, 0.83);
         assert_eq!(cfg.context_threshold, 0.83);
-        assert!(!cfg.context_checking);
         assert_eq!(MeanCacheConfig::default().threshold, 0.7);
     }
 
@@ -278,12 +266,14 @@ mod tests {
     #[test]
     fn sidecar_with_the_retired_fsync_key_still_loads() {
         // Saves are written once and atomically, so the entry-log `fsync`
-        // knob is gone, and every save writes a snapshot, so the `snapshot`
-        // knob is too; sidecars written while they existed carry the keys.
+        // knob is gone, every save writes a snapshot, so the `snapshot`
+        // knob is too, and eviction is always LRU, so the `eviction` knob
+        // is too; sidecars written while they existed carry the keys.
         let json = serde_json::to_string(&MeanCacheConfig::default().with_shards(3)).unwrap();
         for (key, values) in [
             ("fsync", &["\"Never\"", "\"Always\"", "{\"EveryN\":16}"][..]),
             ("snapshot", &["\"Enabled\"", "\"Disabled\""][..]),
+            ("eviction", &["\"Lru\"", "\"Lfu\"", "\"Fifo\""][..]),
         ] {
             assert!(!json.contains(key), "the field must be gone: {json}");
             for value in values {

@@ -180,11 +180,6 @@ impl<C: SemanticCache> Deployment<C> {
         &mut self.cache
     }
 
-    /// Consumes the deployment, returning the cache.
-    pub fn into_cache(self) -> C {
-        self.cache
-    }
-
     /// Populates the cache by asking the LLM for each (query, context) pair
     /// and inserting the response. Populate traffic is not billed against the
     /// user quota (the paper measures steady-state behaviour).
@@ -327,7 +322,7 @@ impl<C: SemanticCache> Deployment<C> {
         let search_time_s = started.elapsed().as_secs_f64() / probes.len().max(1) as f64;
 
         for (probe, outcome) in probes.iter().zip(outcomes) {
-            // Commit (LRU/LFU touch) and account in submission order, one
+            // Commit (LRU touch) and account in submission order, one
             // probe at a time — the write half never interleaves with the
             // quota arithmetic of another probe.
             self.cache.commit(&outcome);
@@ -604,10 +599,9 @@ mod tests {
     }
 
     #[test]
-    fn into_cache_and_cache_mut_expose_the_inner_cache() {
+    fn cache_mut_exposes_the_inner_cache() {
         let mut deployment = Deployment::new(meancache(), llm(), 10, 50);
         deployment.cache_mut().set_threshold(0.9);
-        let cache = deployment.into_cache();
-        assert!((cache.threshold() - 0.9).abs() < 1e-6);
+        assert!((deployment.cache().threshold() - 0.9).abs() < 1e-6);
     }
 }

@@ -1328,7 +1328,7 @@ fn chain_root<'a>(by_id: &HashMap<u64, &'a CacheEntry>, entry: &'a CacheEntry) -
 /// the public namespaced ids — are reassigned. Access recency/frequency
 /// metadata is reset, exactly as a save/load cycle resets it. When the new
 /// capacity is smaller than the entry count, later-replayed entries evict
-/// earlier ones under the target's eviction policy.
+/// earlier ones, least recently used first.
 ///
 /// Switching *to* [`RoutingMode::Centroid`]: the source's centroids are
 /// carried over when it already had compatible ones; otherwise fresh

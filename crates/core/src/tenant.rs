@@ -220,16 +220,6 @@ impl TenantedCache {
         self.tenants.get(name)
     }
 
-    /// Tenant names in deterministic (sorted) order.
-    pub fn tenant_names(&self) -> Vec<&str> {
-        self.tenants.keys().map(String::as_str).collect()
-    }
-
-    /// Number of tenants.
-    pub fn tenant_count(&self) -> usize {
-        self.tenants.len()
-    }
-
     /// Iterate `(name, store)` in deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &TenantStore)> {
         self.tenants.iter().map(|(k, v)| (k.as_str(), v))

@@ -17,7 +17,7 @@
 use std::collections::BTreeSet;
 
 use mc_embedder::{ModelProfile, QueryEncoder};
-use mc_store::{CacheEntry, EvictionPolicy};
+use mc_store::CacheEntry;
 use meancache::{CacheDecisionOutcome, MeanCache, MeanCacheConfig, SemanticCache};
 
 const CAPACITY: usize = 64;
@@ -123,7 +123,6 @@ fn lru_eviction_trace_is_pinned() {
     let encoder = QueryEncoder::new(ModelProfile::tiny(), 7).unwrap();
     let mut config = MeanCacheConfig::default().with_threshold(0.8);
     config.capacity = CAPACITY;
-    config.eviction = EvictionPolicy::Lru;
     let mut cache = MeanCache::new(encoder, config).unwrap();
     let mut record = Record::default();
     // Texts inserted so far, by trace position; `next_text` is the next new one.

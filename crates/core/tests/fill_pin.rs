@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use mc_embedder::{EmbeddingMemo, ModelProfile, QueryEncoder};
-use mc_store::{EvictionPolicy, IndexKind};
+use mc_store::IndexKind;
 use meancache::{CacheDecisionOutcome, MeanCache, MeanCacheConfig, SemanticCache};
 
 const CAPACITY: usize = 64;
@@ -102,7 +102,6 @@ fn run(index: IndexKind) -> Pin {
         .with_threshold(0.8)
         .with_index(index);
     config.capacity = CAPACITY;
-    config.eviction = EvictionPolicy::Lru;
     let mut cache = MeanCache::new(encoder, config).unwrap();
     let memo = Arc::new(EmbeddingMemo::new(32, 0));
 

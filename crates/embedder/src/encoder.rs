@@ -244,11 +244,6 @@ impl QueryEncoder {
         Ok(())
     }
 
-    /// Removes the PCA layer, returning to full-dimension embeddings.
-    pub fn detach_pca(&mut self) -> Option<Pca> {
-        self.pca.take()
-    }
-
     /// Fits a PCA layer on the raw embeddings of the provided corpus and
     /// attaches it (Figure 3-a then 3-b).
     ///
@@ -625,9 +620,6 @@ mod tests {
         assert!((e.norm() - 1.0).abs() < 1e-4);
         // Storage accounting shrinks accordingly.
         assert!(enc.embedding_storage_bytes() < mc_tensor::quant::stored_embedding_bytes(48));
-        let removed = enc.detach_pca();
-        assert!(removed.is_some());
-        assert_eq!(enc.output_dim(), 48);
     }
 
     #[test]

@@ -134,21 +134,6 @@ impl Pca {
         Ok(self.components.matvec(&centered)?)
     }
 
-    /// Projects every row of a matrix, returning an `n x k` matrix.
-    ///
-    /// # Errors
-    /// Returns [`EmbedderError::Shape`] on dimensionality mismatch.
-    pub fn transform_matrix(&self, data: &Matrix) -> Result<Matrix> {
-        let mut rows = Vec::with_capacity(data.rows());
-        for r in 0..data.rows() {
-            rows.push(self.transform(data.row(r))?);
-        }
-        if rows.is_empty() {
-            return Ok(Matrix::zeros(0, self.output_dim()));
-        }
-        Ok(Matrix::from_rows(&rows)?)
-    }
-
     /// Maps a compressed vector back into the original space (lossy).
     ///
     /// # Errors
@@ -284,20 +269,6 @@ mod tests {
         // Using only 1 component must be worse than 2.
         let pca1 = Pca::fit(&data, 1, 3).unwrap();
         assert!(pca1.reconstruction_error(&data).unwrap() > err);
-    }
-
-    #[test]
-    fn transform_matrix_matches_per_row_transform() {
-        let data = low_rank_data(20);
-        let pca = Pca::fit(&data, 3, 4).unwrap();
-        let all = pca.transform_matrix(&data).unwrap();
-        assert_eq!(all.shape(), (20, 3));
-        for r in [0usize, 7, 19] {
-            let single = pca.transform(data.row(r)).unwrap();
-            for (c, &value) in single.iter().enumerate() {
-                assert!((all.get(r, c) - value).abs() < 1e-5);
-            }
-        }
     }
 
     #[test]

@@ -153,16 +153,6 @@ impl ModelProfile {
         }
     }
 
-    /// Looks up the canonical full-size profile for a kind.
-    pub fn of_kind(kind: ProfileKind) -> Self {
-        match kind {
-            ProfileKind::MpnetLike => Self::mpnet(),
-            ProfileKind::AlbertLike => Self::albert(),
-            ProfileKind::LlamaLike => Self::llama(),
-            ProfileKind::Custom => Self::tiny(),
-        }
-    }
-
     /// Layer sizes of the projection MLP: `[table_dim, hidden..., output_dim]`.
     pub fn mlp_dims(&self) -> Vec<usize> {
         let mut dims = Vec::with_capacity(self.hidden_dims.len() + 2);
@@ -178,21 +168,6 @@ impl ModelProfile {
         let dims = self.mlp_dims();
         let mlp: usize = dims.windows(2).map(|w| w[0] * w[1] + w[1]).sum();
         table + mlp
-    }
-
-    /// Approximate multiply-accumulate operations to encode one query: the
-    /// MLP plus one pooled row-add per active feature, approximated by 64
-    /// features. A count of arithmetic for ranking profiles against each
-    /// other (Figure 15), not a predictor of encode time: on the compact
-    /// Albert profile these 24k operations take about 5 µs of a 7.7 µs
-    /// encode, and hashing the query's features — no multiply-accumulate at
-    /// all — takes the other 2 µs (`docs/ARCHITECTURE.md`, "Kernels and
-    /// dispatch", has the budget).
-    pub fn encode_flops(&self) -> usize {
-        let dims = self.mlp_dims();
-        let mlp: usize = dims.windows(2).map(|w| w[0] * w[1]).sum();
-        let pooling = 64 * self.table_dim;
-        mlp + pooling
     }
 
     /// Bytes needed to store one raw (uncompressed) query embedding.
@@ -244,8 +219,6 @@ mod tests {
         // smallest/cheapest (Figure 15).
         assert!(llama.embedding_bytes() > mpnet.embedding_bytes());
         assert_eq!(mpnet.embedding_bytes(), albert.embedding_bytes());
-        assert!(llama.encode_flops() > 5 * mpnet.encode_flops());
-        assert!(mpnet.encode_flops() > albert.encode_flops());
         assert!(llama.model_bytes() > mpnet.model_bytes());
         assert!(mpnet.model_bytes() > albert.model_bytes());
     }
@@ -282,8 +255,8 @@ mod tests {
         let m = ModelProfile::compact(ProfileKind::MpnetLike);
         let a = ModelProfile::compact(ProfileKind::AlbertLike);
         let l = ModelProfile::compact(ProfileKind::LlamaLike);
-        assert!(l.encode_flops() > m.encode_flops());
-        assert!(m.encode_flops() > a.encode_flops());
+        assert!(l.parameter_count() > m.parameter_count());
+        assert!(m.parameter_count() > a.parameter_count());
         assert!(l.output_dim > m.output_dim);
         assert_eq!(
             ModelProfile::compact(ProfileKind::Custom),
@@ -292,11 +265,7 @@ mod tests {
     }
 
     #[test]
-    fn of_kind_and_display() {
-        assert_eq!(
-            ModelProfile::of_kind(ProfileKind::MpnetLike).kind,
-            ProfileKind::MpnetLike
-        );
+    fn profile_kinds_display_their_names() {
         assert_eq!(ProfileKind::LlamaLike.to_string(), "llama-2");
         assert_eq!(ProfileKind::MpnetLike.to_string(), "mpnet");
         assert_eq!(ProfileKind::AlbertLike.to_string(), "albert");

@@ -108,16 +108,6 @@ impl QuotaTracker {
         self.saved_queries += 1;
         self.saved_usd += avoided_cost_usd;
     }
-
-    /// Fraction of all queries that were served without billing.
-    pub fn saving_ratio(&self) -> f64 {
-        let total = self.used + self.saved_queries;
-        if total == 0 {
-            0.0
-        } else {
-            self.saved_queries as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -153,14 +143,12 @@ mod tests {
         q.record_saved(0.02);
         assert_eq!(q.saved_queries(), 2);
         assert!((q.saved_usd() - 0.04).abs() < 1e-12);
-        assert!((q.saving_ratio() - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(q.remaining(), 9);
     }
 
     #[test]
     fn empty_tracker_has_zero_ratio() {
         let q = QuotaTracker::new(5);
-        assert_eq!(q.saving_ratio(), 0.0);
         assert_eq!(q.remaining(), 5);
     }
 

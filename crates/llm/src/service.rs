@@ -114,11 +114,6 @@ impl SimulatedLlm {
         })
     }
 
-    /// Creates a simulator with default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(SimulatedLlmConfig::default()).expect("default config is valid")
-    }
-
     /// Borrow the configuration.
     pub fn config(&self) -> &SimulatedLlmConfig {
         &self.config
@@ -227,7 +222,7 @@ mod tests {
 
     #[test]
     fn identical_requests_get_identical_responses() {
-        let mut llm = SimulatedLlm::with_defaults();
+        let mut llm = SimulatedLlm::new(SimulatedLlmConfig::default()).unwrap();
         let req = LlmRequest::standalone("draw a line plot in python", 50);
         let a = llm.generate(&req).unwrap();
         let b = llm.generate(&req).unwrap();
@@ -239,7 +234,7 @@ mod tests {
 
     #[test]
     fn different_queries_get_different_responses() {
-        let mut llm = SimulatedLlm::with_defaults();
+        let mut llm = SimulatedLlm::new(SimulatedLlmConfig::default()).unwrap();
         let a = llm
             .generate(&LlmRequest::standalone("draw a line plot in python", 50))
             .unwrap();
@@ -253,7 +248,7 @@ mod tests {
     fn same_query_under_different_context_gets_different_responses() {
         // The key contextual-query property (Section II): "Change the color
         // to red" must be answered differently depending on what it follows.
-        let mut llm = SimulatedLlm::with_defaults();
+        let mut llm = SimulatedLlm::new(SimulatedLlmConfig::default()).unwrap();
         let under_line = LlmRequest::contextual(
             "change the color to red",
             vec!["draw a line plot in python".into()],
@@ -285,7 +280,7 @@ mod tests {
 
     #[test]
     fn max_tokens_is_clamped() {
-        let mut llm = SimulatedLlm::with_defaults();
+        let mut llm = SimulatedLlm::new(SimulatedLlmConfig::default()).unwrap();
         let r = llm.generate(&LlmRequest::standalone("x", 0)).unwrap();
         assert_eq!(r.output_tokens, 1);
         let r = llm.generate(&LlmRequest::standalone("x", 10_000)).unwrap();

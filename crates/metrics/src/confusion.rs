@@ -34,11 +34,6 @@ impl CacheDecision {
         }
     }
 
-    /// `true` when the decision matches the ground truth.
-    pub fn is_correct(self) -> bool {
-        matches!(self, CacheDecision::TrueHit | CacheDecision::TrueMiss)
-    }
-
     /// `true` when the cache predicted a hit.
     pub fn predicted_hit(self) -> bool {
         matches!(self, CacheDecision::TrueHit | CacheDecision::FalseHit)
@@ -223,8 +218,6 @@ mod tests {
             CacheDecision::classify(false, true),
             CacheDecision::FalseMiss
         );
-        assert!(CacheDecision::TrueHit.is_correct());
-        assert!(!CacheDecision::FalseMiss.is_correct());
         assert!(CacheDecision::FalseHit.predicted_hit());
         assert!(!CacheDecision::TrueMiss.predicted_hit());
     }

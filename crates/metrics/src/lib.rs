@@ -37,11 +37,6 @@ pub use report::Table;
 pub use timing::TimingStats;
 pub use trace::{FlightRecorder, Stage, Trace, TraceDump, TraceSnapshot, Tracer, STAGE_COUNT};
 
-/// The β used throughout the paper's end-to-end evaluation: 0.5 weighs
-/// precision twice as heavily as recall, because a false hit forces the user
-/// to manually resend the query while a false miss is handled transparently.
-pub const PAPER_F_BETA: f64 = 0.5;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,7 +49,7 @@ mod tests {
         high_recall.record_counts(115, 60, 45, 5);
         // Comparable overall quality, but the precision-heavy system must win under beta=0.5.
         assert!(
-            high_precision.f_beta(PAPER_F_BETA) > high_recall.f_beta(PAPER_F_BETA),
+            high_precision.f_beta(0.5) > high_recall.f_beta(0.5),
             "precision-heavy system must score higher under beta=0.5"
         );
     }

@@ -34,16 +34,6 @@ impl Table {
         self.rows.push(row);
     }
 
-    /// Convenience for rows of string slices.
-    pub fn add_row_strs(&mut self, cells: &[&str]) {
-        self.add_row(&cells.iter().map(|s| s.to_string()).collect::<Vec<_>>());
-    }
-
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Table title.
     pub fn title(&self) -> &str {
         &self.title
@@ -117,13 +107,13 @@ mod tests {
     #[test]
     fn table_renders_aligned_columns() {
         let mut t = Table::new("Demo", &["Metric", "GPTCache", "MeanCache"]);
-        t.add_row_strs(&["F score", "0.56", "0.73"]);
-        t.add_row_strs(&["Precision", "0.52", "0.72"]);
+        t.add_row(&["F score".into(), "0.56".into(), "0.73".into()]);
+        t.add_row(&["Precision".into(), "0.52".into(), "0.72".into()]);
         let s = t.render();
         assert!(s.contains("== Demo =="));
         assert!(s.contains("F score"));
         assert!(s.contains("MeanCache"));
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.rows.len(), 2);
         // Every data line must be at least as wide as the widest label.
         for line in s.lines().skip(2) {
             assert!(line.len() >= "Precision".len());
@@ -152,7 +142,7 @@ mod tests {
     #[test]
     fn display_matches_render() {
         let mut t = Table::new("T", &["x"]);
-        t.add_row_strs(&["1"]);
+        t.add_row(&["1".into()]);
         assert_eq!(format!("{t}"), t.render());
     }
 }

@@ -1,7 +1,6 @@
 //! Latency and size summaries for the response-time and storage experiments.
 
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Accumulates a series of scalar observations (latencies in seconds, sizes
 /// in bytes, ...) and reports summary statistics.
@@ -23,11 +22,6 @@ impl TimingStats {
     /// Records one observation.
     pub fn record(&mut self, value: f64) {
         self.samples.push(value);
-    }
-
-    /// Records a [`Duration`] in seconds.
-    pub fn record_duration(&mut self, d: Duration) {
-        self.record(d.as_secs_f64());
     }
 
     /// Number of observations.
@@ -113,18 +107,6 @@ impl TimingStats {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
-
-    /// Speed-up of this series' mean relative to another series' mean
-    /// (`other.mean() / self.mean()`); 0 when either mean is 0.
-    pub fn speedup_vs(&self, other: &TimingStats) -> f64 {
-        let mine = self.mean();
-        let theirs = other.mean();
-        if mine <= 0.0 || theirs <= 0.0 {
-            0.0
-        } else {
-            theirs / mine
-        }
-    }
 }
 
 #[cfg(test)]
@@ -156,26 +138,6 @@ mod tests {
         assert_eq!(t.median(), 3.0);
         assert!((t.std_dev() - (2.5f64).sqrt()).abs() < 1e-9);
         assert!((t.percentile(25.0) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn record_duration_converts_to_seconds() {
-        let mut t = TimingStats::new();
-        t.record_duration(Duration::from_millis(250));
-        assert!((t.mean() - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn speedup_compares_means() {
-        let mut fast = TimingStats::new();
-        let mut slow = TimingStats::new();
-        for _ in 0..10 {
-            fast.record(0.01);
-            slow.record(0.05);
-        }
-        assert!((fast.speedup_vs(&slow) - 5.0).abs() < 1e-9);
-        assert_eq!(TimingStats::new().speedup_vs(&slow), 0.0);
-        assert_eq!(fast.speedup_vs(&TimingStats::new()), 0.0);
     }
 
     #[test]

@@ -175,17 +175,6 @@ impl Trace {
         self.flags.fetch_or(bits, Ordering::Relaxed);
     }
 
-    /// True if all `bits` are set.
-    pub fn has_flag(&self, bits: u64) -> bool {
-        self.flags.load(Ordering::Relaxed) & bits == bits
-    }
-
-    /// True once the trace has been pushed to a recorder (the push is
-    /// first-caller-wins; see [`Tracer::record`]).
-    pub fn is_recorded(&self) -> bool {
-        self.recorded.load(Ordering::Relaxed)
-    }
-
     /// An owned snapshot of the marked stages, in pipeline order.
     pub fn snapshot(&self) -> TraceSnapshot {
         let flags = self.flags.load(Ordering::Relaxed);
@@ -455,8 +444,9 @@ mod tests {
         assert_eq!(trace.stage_us(Stage::Accepted), Some(10));
         assert_eq!(trace.stage_us(Stage::Enqueued), Some(12));
         assert_eq!(trace.stage_us(Stage::Dequeued), None);
-        assert!(trace.has_flag(flag::MEMO_HIT));
-        assert!(!trace.has_flag(flag::PANICKED));
+        let flags = trace.flags.load(Ordering::Relaxed);
+        assert_ne!(flags & flag::MEMO_HIT, 0);
+        assert_eq!(flags & flag::PANICKED, 0);
 
         let snap = trace.snapshot();
         assert_eq!(snap.id, 7);
@@ -503,7 +493,7 @@ mod tests {
         assert!(tracer.record(&trace));
         assert!(!tracer.record(&trace), "second record is a no-op");
         assert_eq!(tracer.recorder().dump().len(), 1);
-        assert!(trace.is_recorded());
+        assert!(trace.recorded.load(Ordering::Relaxed));
     }
 
     #[test]

@@ -101,28 +101,6 @@ impl DenseLayer {
         }
     }
 
-    /// Creates a layer from explicit parameters (used when loading
-    /// checkpoints or applying FedAvg-aggregated weights).
-    pub fn from_parameters(
-        weights: Matrix,
-        bias: Vec<f32>,
-        activation: Activation,
-    ) -> Result<Self> {
-        if weights.cols() != bias.len() {
-            return Err(NnError::ShapeMismatch(format!(
-                "weights {}x{} vs bias {}",
-                weights.rows(),
-                weights.cols(),
-                bias.len()
-            )));
-        }
-        Ok(Self {
-            weights,
-            bias,
-            activation,
-        })
-    }
-
     /// Input dimensionality.
     pub fn input_dim(&self) -> usize {
         self.weights.rows()
@@ -311,18 +289,13 @@ mod tests {
 
     #[test]
     fn identity_forward_matches_manual_computation() {
-        let weights = Matrix::from_rows(&[vec![1.0, 0.0], vec![0.0, 2.0], vec![1.0, 1.0]]).unwrap();
-        let l =
-            DenseLayer::from_parameters(weights, vec![0.5, -0.5], Activation::Identity).unwrap();
+        let mut l = DenseLayer::new(3, 2, Activation::Identity, &mut seeded(1));
+        // Row-major 3x2 weights, then the bias.
+        l.read_parameters(&[1.0, 0.0, 0.0, 2.0, 1.0, 1.0, 0.5, -0.5])
+            .unwrap();
         let out = l.infer(&[1.0, 2.0, 3.0]).unwrap();
         // pre = [1*1+2*0+3*1, 1*0+2*2+3*1] + bias = [4+0.5, 7-0.5]
         assert_eq!(out, vec![4.5, 6.5]);
-    }
-
-    #[test]
-    fn from_parameters_validates_bias_length() {
-        let weights = Matrix::zeros(2, 3);
-        assert!(DenseLayer::from_parameters(weights, vec![0.0; 2], Activation::Relu).is_err());
     }
 
     #[test]

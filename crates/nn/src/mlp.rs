@@ -64,19 +64,6 @@ impl MlpGrad {
             .sum::<f32>()
             .sqrt()
     }
-
-    /// Clips the global gradient norm to `max_norm`, returning the scaling
-    /// factor that was applied (1.0 when no clipping was needed).
-    pub fn clip_global_norm(&mut self, max_norm: f32) -> f32 {
-        let norm = self.norm();
-        if norm > max_norm && norm > 0.0 {
-            let factor = max_norm / norm;
-            self.scale(factor);
-            factor
-        } else {
-            1.0
-        }
-    }
 }
 
 /// Cached activations of a full forward pass, used for backpropagation.
@@ -136,32 +123,6 @@ impl Mlp {
             layers.push(DenseLayer::new(dims[i], dims[i + 1], act, rng));
         }
         Ok(Self { layers })
-    }
-
-    /// Builds an MLP from pre-constructed layers.
-    ///
-    /// # Errors
-    /// Returns [`NnError::ShapeMismatch`] when consecutive layer dimensions
-    /// do not line up, or [`NnError::InvalidHyperparameter`] when empty.
-    pub fn from_layers(layers: Vec<DenseLayer>) -> Result<Self> {
-        if layers.is_empty() {
-            return Err(NnError::InvalidHyperparameter("empty layer list".into()));
-        }
-        for w in layers.windows(2) {
-            if w[0].output_dim() != w[1].input_dim() {
-                return Err(NnError::ShapeMismatch(format!(
-                    "layer output {} does not feed layer input {}",
-                    w[0].output_dim(),
-                    w[1].input_dim()
-                )));
-            }
-        }
-        Ok(Self { layers })
-    }
-
-    /// Number of layers.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
     }
 
     /// Borrow the layers.
@@ -290,28 +251,6 @@ impl Mlp {
         }
         Ok(())
     }
-
-    /// Flattens all gradients in the same layout as [`Mlp::parameters`].
-    pub fn flatten_grad(&self, grad: &MlpGrad) -> Vector {
-        let mut flat = Vec::with_capacity(self.parameter_count());
-        for g in &grad.layers {
-            flat.extend_from_slice(g.d_weights.as_slice());
-            flat.extend_from_slice(&g.d_bias);
-        }
-        Vector::from_vec(flat)
-    }
-
-    /// Applies a flat parameter delta: `params += alpha * delta`.
-    ///
-    /// # Errors
-    /// Returns [`NnError::ShapeMismatch`] when the delta has the wrong length.
-    pub fn apply_delta(&mut self, alpha: f32, delta: &Vector) -> Result<()> {
-        let mut params = self.parameters();
-        params
-            .axpy(alpha, delta)
-            .map_err(|e| NnError::ShapeMismatch(e.to_string()))?;
-        self.set_parameters(&params)
-    }
 }
 
 #[cfg(test)]
@@ -329,21 +268,9 @@ mod tests {
         let mut rng = seeded(1);
         assert!(Mlp::new(&[4], Activation::Tanh, Activation::Identity, &mut rng).is_err());
         let m = mlp();
-        assert_eq!(m.layer_count(), 2);
         assert_eq!(m.input_dim(), 6);
         assert_eq!(m.output_dim(), 4);
         assert_eq!(m.parameter_count(), 6 * 5 + 5 + 5 * 4 + 4);
-    }
-
-    #[test]
-    fn from_layers_checks_compatibility() {
-        let mut rng = seeded(2);
-        let l1 = DenseLayer::new(3, 4, Activation::Relu, &mut rng);
-        let l2 = DenseLayer::new(5, 2, Activation::Identity, &mut rng);
-        assert!(Mlp::from_layers(vec![l1.clone(), l2]).is_err());
-        assert!(Mlp::from_layers(vec![]).is_err());
-        let l3 = DenseLayer::new(4, 2, Activation::Identity, &mut rng);
-        assert!(Mlp::from_layers(vec![l1, l3]).is_ok());
     }
 
     #[test]
@@ -392,30 +319,13 @@ mod tests {
 
         let mut shifted = mlp();
         let delta = Vector::filled(m.parameter_count(), 0.5);
-        shifted.set_parameters(&params).unwrap();
-        shifted.apply_delta(2.0, &delta).unwrap();
+        let mut moved = params.clone();
+        moved.axpy(2.0, &delta).unwrap();
+        shifted.set_parameters(&moved).unwrap();
         let diff = shifted.parameters().sub(&params).unwrap();
         assert!(diff.as_slice().iter().all(|&d| (d - 1.0).abs() < 1e-6));
 
         assert!(copy.set_parameters(&Vector::zeros(3)).is_err());
-        assert!(copy.apply_delta(1.0, &Vector::zeros(3)).is_err());
-    }
-
-    #[test]
-    fn gradient_clipping_reduces_norm() {
-        let m = mlp();
-        let x = vec![1.0; 6];
-        let f = m.forward(&x).unwrap();
-        let mut grad = m.zero_grad();
-        m.backward(&f, &[10.0; 4], &mut grad, &mut Vec::new())
-            .unwrap();
-        let before = grad.norm();
-        assert!(before > 1.0);
-        let factor = grad.clip_global_norm(1.0);
-        assert!(factor < 1.0);
-        assert!((grad.norm() - 1.0).abs() < 1e-3);
-        // Clipping an already-small gradient is a no-op.
-        assert_eq!(grad.clip_global_norm(100.0), 1.0);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! serve [--addr 127.0.0.1:4077] [--shards 8] [--capacity 100000]
 //!       [--threshold 0.7] [--index flat-sq8|flat] [--seed 2024]
 //!       [--routing hash|centroid|scatter-gather] [--persist PATH]
-//!       [--fsync always|never|every-N] [--deadline-ms N] [--idle-timeout-ms N]
+//!       [--fsync always|never] [--deadline-ms N] [--idle-timeout-ms N]
 //!       [--batch-max 64] [--batch-wait-us 200] [--queue-cap 1024]
-//!       [--max-conns 32] [--poller epoll|poll] [--memo-capacity N]
-//!       [--memo-bytes N] [--no-singleflight] [--metrics-out PATH]
+//!       [--max-conns 32] [--memo-capacity N] [--memo-bytes N]
+//!       [--no-singleflight] [--metrics-out PATH]
 //!       [--tenants name:token:quota,...] [--default-tenant NAME|none]
 //!       [--ttl-secs N] [--trace-sample N] [--trace-slow-ms N]
 //!       [--trace-log PATH] [--trace-dump-out PATH] [--smoke]
@@ -51,9 +51,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use mc_embedder::{ModelProfile, QueryEncoder};
-use mc_serve::{
-    Client, ClientConfig, ClientError, ErrorCode, PollerKind, ServeConfig, ServeTenant, Server,
-};
+use mc_serve::{Client, ClientConfig, ClientError, ErrorCode, ServeConfig, ServeTenant, Server};
 use mc_store::{IndexKind, RecoveryStats};
 use meancache::persist::load_sharded_cache_with_report;
 use meancache::{reshard, MeanCacheConfig, RoutingMode, ShardedCache};
@@ -67,7 +65,6 @@ struct Args {
     seed: u64,
     routing: RoutingMode,
     serve_config: ServeConfig,
-    poller: Option<PollerKind>,
     metrics_out: Option<PathBuf>,
     trace_dump_out: Option<PathBuf>,
     smoke: bool,
@@ -83,7 +80,6 @@ fn parse_args() -> Args {
         seed: 2024,
         routing: RoutingMode::Hash,
         serve_config: ServeConfig::default(),
-        poller: None,
         metrics_out: None,
         trace_dump_out: None,
         smoke: false,
@@ -181,13 +177,6 @@ fn parse_args() -> Args {
                     .parse()
                     .expect("--max-conns: integer");
             }
-            "--poller" => {
-                let name = value(&mut i, "--poller");
-                args.poller = Some(PollerKind::from_name(&name).unwrap_or_else(|| {
-                    eprintln!("unknown poller backend `{name}` (epoll|poll)");
-                    std::process::exit(2);
-                }));
-            }
             "--memo-capacity" => {
                 args.serve_config.memo_capacity = value(&mut i, "--memo-capacity")
                     .parse()
@@ -258,9 +247,9 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: serve [--addr A] [--shards N] [--capacity N] [--threshold T] \
                      [--index KIND] [--seed N] [--routing MODE] [--persist PATH] \
-                     [--fsync always|never|every-N] [--deadline-ms N] [--idle-timeout-ms N] \
+                     [--fsync always|never] [--deadline-ms N] [--idle-timeout-ms N] \
                      [--batch-max N] [--batch-wait-us N] [--queue-cap N] [--max-conns N] \
-                     [--poller epoll|poll] [--memo-capacity N] [--memo-bytes N] \
+                     [--memo-capacity N] [--memo-bytes N] \
                      [--no-singleflight] [--tenants name:token:quota,...] \
                      [--default-tenant NAME|none] [--ttl-secs N] \
                      [--metrics-out PATH] [--trace-sample N] \
@@ -361,11 +350,7 @@ fn start_server(
 ) -> mc_serve::ServerHandle {
     let mut config = args.serve_config.clone();
     config.restored = restored;
-    match args.poller {
-        Some(kind) => Server::start_with_poller(cache, &config, args.addr.as_str(), kind)
-            .expect("bind serving address"),
-        None => Server::start(cache, &config, args.addr.as_str()).expect("bind serving address"),
-    }
+    Server::start(cache, &config, args.addr.as_str()).expect("bind serving address")
 }
 
 fn main() {
@@ -411,7 +396,6 @@ fn smoke(args: &Args) {
         seed: args.seed,
         routing: args.routing,
         serve_config,
-        poller: args.poller,
         metrics_out: args.metrics_out.clone(),
         trace_dump_out: args.trace_dump_out.clone(),
         smoke: true,
@@ -419,10 +403,7 @@ fn smoke(args: &Args) {
     let (cache, restored) = build_cache(&args);
     let handle = start_server(cache, &args, restored);
     let addr = handle.addr();
-    println!(
-        "smoke: serving on {addr} (poller {})",
-        args.poller.map_or("default", |k| k.name())
-    );
+    println!("smoke: serving on {addr}");
     let metrics_out = args.metrics_out.clone();
 
     let inserts = 40;
@@ -848,7 +829,6 @@ fn clone_args(args: &Args) -> Args {
         seed: args.seed,
         routing: args.routing,
         serve_config: args.serve_config.clone(),
-        poller: args.poller,
         metrics_out: args.metrics_out.clone(),
         trace_dump_out: args.trace_dump_out.clone(),
         smoke: true,

@@ -25,8 +25,8 @@
 //! Five layers, one module each:
 //!
 //! * **Event loop** ([`server`], [`poller`]) — one thread owns the listener
-//!   and every connection through a readiness [`poller::Poller`] (epoll on
-//!   Linux, portable `poll(2)` fallback, both runtime-selectable). Sockets
+//!   and every connection through a readiness [`poller::Poller`] (epoll;
+//!   the crate is Linux-only). Sockets
 //!   are non-blocking with per-connection read/write buffers and a
 //!   partial-frame state machine ([`protocol::FrameAssembler`]), so 10k
 //!   idle connections cost file descriptors, not threads — total thread
@@ -114,7 +114,7 @@ pub mod wal;
 
 pub use client::{Client, ClientConfig, ClientError};
 pub use pipeline::{ServeConfig, ServePipeline, ServeReply, ServeRequest, ServeTenant, Ticket};
-pub use poller::{Event, Interest, Poller, PollerKind, Waker};
+pub use poller::{Event, Interest, Poller, Waker};
 pub use protocol::{ErrorCode, FrameAssembler, Request, Response, MAX_TENANT_LEN};
 pub use queue::{BoundedQueue, SubmitError};
 pub use server::{Server, ServerHandle};

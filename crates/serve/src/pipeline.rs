@@ -131,10 +131,9 @@ pub struct ServeConfig {
     pub idle_timeout: Duration,
     /// Fsync policy for the serve write-ahead log (only consulted when
     /// [`ServeConfig::persist_path`] is set). `Always` makes every
-    /// acknowledged write durable before its response leaves; `EveryN`
-    /// bounds loss to the last N acknowledged writes; `Never` (the
-    /// default) leaves flushing to the OS — a crash loses the un-flushed
-    /// tail, a graceful stop loses nothing.
+    /// acknowledged write durable before its response leaves; `Never` (the
+    /// default) leaves flushing to the OS — a crash loses the un-flushed tail,
+    /// a graceful stop loses nothing.
     pub fsync: FsyncPolicy,
     /// What snapshot-load recovery replayed and truncated before the
     /// server started (reported by
@@ -1251,7 +1250,7 @@ fn execute_lookup_run(
             }
         }
         // Screen, then commit in submission order before parking each
-        // reply: the served history (including LRU/LFU touches) matches
+        // reply: the served history (including LRU touches) matches
         // sequential `lookup` calls exactly. A screened (expired/stale) hit
         // is answered as a miss and is *not* committed — dead entries get no
         // recency credit.

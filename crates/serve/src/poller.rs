@@ -1,23 +1,17 @@
-//! Readiness polling for the event-driven server: a minimal epoll shim with
-//! a portable `poll(2)` fallback, plus a cross-thread [`Waker`].
+//! Readiness polling for the event-driven server: a minimal epoll shim plus
+//! a cross-thread [`Waker`]. Linux-only.
 //!
 //! The server's event loop owns every connection on one thread and needs
 //! exactly one primitive: "block until one of these file descriptors is
 //! readable/writable (or a deadline passes), and tell me which". This module
-//! provides it without any networking dependency — the two syscall families
-//! are declared directly (the workspace is offline; std already links libc):
-//!
-//! * [`PollerKind::Epoll`] — `epoll_create1`/`epoll_ctl`/`epoll_wait`.
-//!   O(ready) wakeups: 10k idle connections cost file descriptors, not scan
-//!   time. Linux-only.
-//! * [`PollerKind::Poll`] — `poll(2)` over the registered set. O(registered)
-//!   per wakeup, but portable to any Unix; the CI exercises both so the
-//!   fallback stays honest.
+//! provides it without any networking dependency — `epoll_create1`,
+//! `epoll_ctl` and `epoll_wait` are declared directly (the workspace is
+//! offline; std already links libc). A wakeup costs O(ready), so 10k idle
+//! connections cost file descriptors, not scan time.
 //!
 //! Tokens are caller-chosen `u64`s carried back verbatim in [`Event`]s; the
-//! poller never interprets them. Registration state for the `poll(2)`
-//! backend lives in the poller itself; the epoll backend keeps the state in
-//! the kernel.
+//! poller never interprets them, and the registration state lives in the
+//! kernel.
 //!
 //! [`Waker`] lets other threads (the batcher resolving a ticket, shutdown)
 //! interrupt a blocked [`Poller::wait`]: a connected loopback UDP socket
@@ -26,11 +20,9 @@
 //! extra syscall declarations, and the pair is connected in both directions
 //! so stray datagrams from other processes are rejected by the kernel.
 
-#![cfg(unix)]
-
 use std::io;
 use std::net::{Ipv4Addr, UdpSocket};
-use std::os::raw::{c_int, c_ulong};
+use std::os::raw::c_int;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -49,69 +41,26 @@ const EPOLLERR: u32 = 0x008;
 const EPOLLHUP: u32 = 0x010;
 const EPOLLRDHUP: u32 = 0x2000;
 
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-const POLLERR: i16 = 0x008;
-const POLLHUP: i16 = 0x010;
-
 /// `struct epoll_event`. Packed on x86-64 (the kernel ABI there has no
 /// padding between `events` and `data`); aligned elsewhere. Fields are only
 /// ever read *by value* — never by reference — which is the one safe way to
 /// touch packed fields.
 #[repr(C)]
-#[cfg_attr(all(target_os = "linux", target_arch = "x86_64"), repr(packed))]
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
 #[derive(Debug, Clone, Copy)]
 struct EpollEvent {
     events: u32,
     data: u64,
 }
 
-/// `struct pollfd`.
-#[repr(C)]
-#[derive(Clone, Copy)]
-struct PollFd {
-    fd: c_int,
-    events: i16,
-    revents: i16,
-}
-
 extern "C" {
     fn epoll_create1(flags: c_int) -> c_int;
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
-    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
 }
 
 // ---- public surface --------------------------------------------------------
-
-/// Which readiness backend a [`Poller`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PollerKind {
-    /// Linux `epoll`: O(ready) wakeups.
-    Epoll,
-    /// Portable `poll(2)`: O(registered) per wakeup.
-    Poll,
-}
-
-impl PollerKind {
-    /// Stable kebab-case name (CLI flags, logs).
-    pub fn name(self) -> &'static str {
-        match self {
-            PollerKind::Epoll => "epoll",
-            PollerKind::Poll => "poll",
-        }
-    }
-
-    /// Inverse of [`PollerKind::name`] (`None` for unknown names).
-    pub fn from_name(name: &str) -> Option<Self> {
-        match name {
-            "epoll" => Some(PollerKind::Epoll),
-            "poll" => Some(PollerKind::Poll),
-            _ => None,
-        }
-    }
-}
 
 /// What a registration wants to be woken for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,16 +76,6 @@ impl Interest {
     pub const READ: Interest = Interest {
         readable: true,
         writable: false,
-    };
-    /// Writable only.
-    pub const WRITE: Interest = Interest {
-        readable: false,
-        writable: true,
-    };
-    /// Readable and writable.
-    pub const BOTH: Interest = Interest {
-        readable: true,
-        writable: true,
     };
 }
 
@@ -155,121 +94,61 @@ pub struct Event {
     pub hangup: bool,
 }
 
-/// A readiness poller over raw file descriptors. Not `Sync` — exactly one
-/// thread (the event loop) drives it; other threads interrupt via [`Waker`].
+/// An epoll readiness poller over raw file descriptors. Not `Sync` —
+/// exactly one thread (the event loop) drives it; other threads interrupt
+/// via [`Waker`].
 #[derive(Debug)]
 pub struct Poller {
-    backend: Backend,
-}
-
-#[derive(Debug)]
-enum Backend {
-    Epoll {
-        epfd: RawFd,
-        /// Scratch buffer reused across waits.
-        buf: Vec<EpollEvent>,
-    },
-    Poll {
-        /// Registered fds in registration order (token, fd, interest).
-        entries: Vec<(u64, RawFd, Interest)>,
-    },
+    epfd: RawFd,
+    /// Scratch buffer reused across waits.
+    buf: Vec<EpollEvent>,
 }
 
 impl Poller {
-    /// Creates a poller of the requested kind.
+    /// Creates an epoll poller.
     ///
     /// # Errors
-    /// The underlying `epoll_create1` failure (e.g. fd exhaustion); the
-    /// `poll(2)` backend cannot fail to construct.
-    pub fn new(kind: PollerKind) -> io::Result<Self> {
-        let backend = match kind {
-            PollerKind::Epoll => {
-                let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-                if epfd < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Backend::Epoll {
-                    epfd,
-                    buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
-                }
-            }
-            PollerKind::Poll => Backend::Poll {
-                entries: Vec::new(),
-            },
-        };
-        Ok(Self { backend })
-    }
-
-    /// The live backend kind.
-    pub fn kind(&self) -> PollerKind {
-        match self.backend {
-            Backend::Epoll { .. } => PollerKind::Epoll,
-            Backend::Poll { .. } => PollerKind::Poll,
+    /// The underlying `epoll_create1` failure (e.g. fd exhaustion).
+    pub fn new() -> io::Result<Self> {
+        let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if epfd < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(Self {
+            epfd,
+            buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
     /// Registers `fd` under `token`. One registration per fd; re-registering
     /// an fd without deregistering first is a caller bug (epoll reports
-    /// `EEXIST`, the fallback debug-asserts).
+    /// `EEXIST`).
     ///
     /// # Errors
     /// The underlying `epoll_ctl` failure.
     pub fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, .. } => epoll_update(*epfd, EPOLL_CTL_ADD, fd, token, interest),
-            Backend::Poll { entries } => {
-                debug_assert!(
-                    entries.iter().all(|&(_, f, _)| f != fd),
-                    "fd {fd} registered twice"
-                );
-                entries.push((token, fd, interest));
-                Ok(())
-            }
-        }
+        epoll_update(self.epfd, EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Replaces the interest (and token) of an already registered fd.
     ///
     /// # Errors
-    /// The underlying `epoll_ctl` failure, or `NotFound` when `fd` was never
-    /// registered with the fallback backend.
+    /// The underlying `epoll_ctl` failure.
     pub fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, .. } => epoll_update(*epfd, EPOLL_CTL_MOD, fd, token, interest),
-            Backend::Poll { entries } => match entries.iter_mut().find(|(_, f, _)| *f == fd) {
-                Some(entry) => {
-                    *entry = (token, fd, interest);
-                    Ok(())
-                }
-                None => Err(io::Error::new(
-                    io::ErrorKind::NotFound,
-                    format!("fd {fd} is not registered"),
-                )),
-            },
-        }
+        epoll_update(self.epfd, EPOLL_CTL_MOD, fd, token, interest)
     }
 
-    /// Removes `fd` from the poller. Must happen *before* the fd is closed
-    /// (a closed fd auto-leaves epoll, but the fallback would keep polling a
-    /// dead — or worse, recycled — descriptor).
+    /// Removes `fd` from the poller, before the fd is closed.
     ///
     /// # Errors
     /// The underlying `epoll_ctl` failure.
     pub fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match &mut self.backend {
-            Backend::Epoll { epfd, .. } => {
-                let mut ev = EpollEvent { events: 0, data: 0 };
-                let rc = unsafe { epoll_ctl(*epfd, EPOLL_CTL_DEL, fd, &mut ev) };
-                if rc < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            Backend::Poll { entries } => {
-                entries.retain(|&(_, f, _)| f != fd);
-                Ok(())
-            }
+        let mut ev = EpollEvent { events: 0, data: 0 };
+        let rc = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(())
     }
 
     /// Blocks until at least one registered fd is ready or `timeout`
@@ -278,7 +157,7 @@ impl Poller {
     /// events delivered (0 = timeout).
     ///
     /// # Errors
-    /// The underlying `epoll_wait`/`poll` failure.
+    /// The underlying `epoll_wait` failure.
     pub fn wait(
         &mut self,
         events: &mut Vec<Event>,
@@ -300,71 +179,36 @@ impl Poller {
                         }
                 }
             };
-            let result = match &mut self.backend {
-                Backend::Epoll { epfd, buf } => {
-                    let n = unsafe {
-                        epoll_wait(*epfd, buf.as_mut_ptr(), buf.len() as c_int, timeout_ms)
-                    };
-                    if n >= 0 {
-                        for ev in &buf[..n as usize] {
-                            // Packed struct: copy fields out by value.
-                            let bits = ev.events;
-                            let token = ev.data;
-                            events.push(Event {
-                                token,
-                                readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
-                                writable: bits & EPOLLOUT != 0,
-                                hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
-                            });
-                        }
-                        Ok(n as usize)
-                    } else {
-                        Err(io::Error::last_os_error())
-                    }
-                }
-                Backend::Poll { entries } => {
-                    let mut fds: Vec<PollFd> = entries
-                        .iter()
-                        .map(|&(_, fd, interest)| PollFd {
-                            fd,
-                            events: (if interest.readable { POLLIN } else { 0 })
-                                | (if interest.writable { POLLOUT } else { 0 }),
-                            revents: 0,
-                        })
-                        .collect();
-                    let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, timeout_ms) };
-                    if n >= 0 {
-                        for (pfd, &(token, _, _)) in fds.iter().zip(entries.iter()) {
-                            if pfd.revents == 0 {
-                                continue;
-                            }
-                            events.push(Event {
-                                token,
-                                readable: pfd.revents & (POLLIN | POLLHUP) != 0,
-                                writable: pfd.revents & POLLOUT != 0,
-                                hangup: pfd.revents & (POLLERR | POLLHUP) != 0,
-                            });
-                        }
-                        Ok(events.len())
-                    } else {
-                        Err(io::Error::last_os_error())
-                    }
-                }
+            let n = unsafe {
+                epoll_wait(
+                    self.epfd,
+                    self.buf.as_mut_ptr(),
+                    self.buf.len() as c_int,
+                    timeout_ms,
+                )
             };
-            match result {
-                Ok(n) => {
-                    if n > 0 || deadline.map(|d| Instant::now() >= d).unwrap_or(false) {
-                        return Ok(events.len());
-                    }
-                    // Spurious zero before the deadline (epoll can round
-                    // down): loop with the remaining time.
-                    if deadline.is_none() && n == 0 {
-                        continue;
-                    }
+            if n < 0 {
+                let e = io::Error::last_os_error();
+                if e.kind() == io::ErrorKind::Interrupted {
                     continue;
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
+                return Err(e);
+            }
+            for ev in &self.buf[..n as usize] {
+                // Packed struct: copy fields out by value.
+                let bits = ev.events;
+                let token = ev.data;
+                events.push(Event {
+                    token,
+                    readable: bits & (EPOLLIN | EPOLLRDHUP) != 0,
+                    writable: bits & EPOLLOUT != 0,
+                    hangup: bits & (EPOLLERR | EPOLLHUP | EPOLLRDHUP) != 0,
+                });
+            }
+            // A spurious zero before the deadline (epoll can round down)
+            // loops with the remaining time.
+            if n > 0 || deadline.is_some_and(|d| Instant::now() >= d) {
+                return Ok(events.len());
             }
         }
     }
@@ -372,9 +216,7 @@ impl Poller {
 
 impl Drop for Poller {
     fn drop(&mut self) {
-        if let Backend::Epoll { epfd, .. } = self.backend {
-            unsafe { close(epfd) };
-        }
+        unsafe { close(self.epfd) };
     }
 }
 
@@ -494,132 +336,122 @@ mod tests {
         (client, server)
     }
 
-    fn kinds() -> [PollerKind; 2] {
-        [PollerKind::Epoll, PollerKind::Poll]
-    }
-
-    #[test]
-    fn kind_names_round_trip() {
-        for kind in kinds() {
-            assert_eq!(PollerKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(PollerKind::from_name("kqueue"), None);
-    }
-
     #[test]
     fn readiness_follows_data_on_both_backends() {
-        for kind in kinds() {
-            let mut poller = Poller::new(kind).unwrap();
-            assert_eq!(poller.kind(), kind);
-            let (mut client, server) = tcp_pair();
-            let fd = server.as_raw_fd();
-            poller.register(fd, 7, Interest::READ).unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (mut client, server) = tcp_pair();
+        let fd = server.as_raw_fd();
+        poller.register(fd, 7, Interest::READ).unwrap();
 
-            // Nothing to read yet: a bounded wait times out.
-            let mut events = Vec::new();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: idle socket must not wake the poller");
+        // Nothing to read yet: a bounded wait times out.
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "idle socket must not wake the poller");
 
-            client.write_all(b"ping").unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 7 && e.readable),
-                "{kind:?}: data must wake readable: {events:?}"
-            );
+        client.write_all(b"ping").unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 7 && e.readable),
+            "data must wake readable: {events:?}"
+        );
 
-            // Write interest on a fresh socket fires immediately.
-            poller.modify(fd, 7, Interest::BOTH).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 7 && e.writable));
+        // Write interest on a fresh socket fires immediately.
+        poller
+            .modify(
+                fd,
+                7,
+                Interest {
+                    readable: true,
+                    writable: true,
+                },
+            )
+            .unwrap();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 7 && e.writable));
 
-            // After deregistration the fd is silent.
-            poller.deregister(fd).unwrap();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: deregistered fd must be silent");
-            drop(client);
-            drop(server);
-        }
+        // After deregistration the fd is silent.
+        poller.deregister(fd).unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "deregistered fd must be silent");
+        drop(client);
+        drop(server);
     }
 
     #[test]
     fn peer_close_reports_hangup_or_readable_eof() {
-        for kind in kinds() {
-            let mut poller = Poller::new(kind).unwrap();
-            let (client, mut server) = tcp_pair();
-            poller
-                .register(client.as_raw_fd(), 3, Interest::READ)
-                .unwrap();
-            // Drain anything pending, then close the peer.
-            server.flush().unwrap();
-            drop(server);
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            let ev = events
-                .iter()
-                .find(|e| e.token == 3)
-                .unwrap_or_else(|| panic!("{kind:?}: close must produce an event"));
-            assert!(
-                ev.hangup || ev.readable,
-                "{kind:?}: close must read as hangup/EOF: {ev:?}"
-            );
-            // And the EOF is real.
-            let mut probe = client;
-            probe.set_nonblocking(true).unwrap();
-            let mut buf = [0u8; 8];
-            assert_eq!(probe.read(&mut buf).unwrap(), 0);
-        }
+        let mut poller = Poller::new().unwrap();
+        let (client, mut server) = tcp_pair();
+        poller
+            .register(client.as_raw_fd(), 3, Interest::READ)
+            .unwrap();
+        // Drain anything pending, then close the peer.
+        server.flush().unwrap();
+        drop(server);
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let ev = events
+            .iter()
+            .find(|e| e.token == 3)
+            .unwrap_or_else(|| panic!("close must produce an event"));
+        assert!(
+            ev.hangup || ev.readable,
+            "close must read as hangup/EOF: {ev:?}"
+        );
+        // And the EOF is real.
+        let mut probe = client;
+        probe.set_nonblocking(true).unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(probe.read(&mut buf).unwrap(), 0);
     }
 
     #[test]
     fn waker_interrupts_a_blocked_wait_and_coalesces() {
-        for kind in kinds() {
-            let mut poller = Poller::new(kind).unwrap();
-            let (waker, receiver) = wake_pair().unwrap();
-            poller
-                .register(receiver.raw_fd(), 99, Interest::READ)
-                .unwrap();
+        let mut poller = Poller::new().unwrap();
+        let (waker, receiver) = wake_pair().unwrap();
+        poller
+            .register(receiver.raw_fd(), 99, Interest::READ)
+            .unwrap();
 
-            let remote = waker.clone();
-            let handle = std::thread::spawn(move || {
-                std::thread::sleep(Duration::from_millis(20));
-                remote.wake();
-                remote.wake(); // coalesced: no second datagram
-                remote.wake();
-            });
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            handle.join().unwrap();
-            assert!(
-                events.iter().any(|e| e.token == 99 && e.readable),
-                "{kind:?}: wake must interrupt the wait"
-            );
-            receiver.drain();
+        let remote = waker.clone();
+        let handle = std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            remote.wake();
+            remote.wake(); // coalesced: no second datagram
+            remote.wake();
+        });
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        handle.join().unwrap();
+        assert!(
+            events.iter().any(|e| e.token == 99 && e.readable),
+            "wake must interrupt the wait"
+        );
+        receiver.drain();
 
-            // Drained and disarmed: the poller is quiet again...
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert_eq!(n, 0, "{kind:?}: drained waker must be quiet");
-            // ...and the next wake works.
-            waker.wake();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert!(events.iter().any(|e| e.token == 99 && e.readable));
-            receiver.drain();
-        }
+        // Drained and disarmed: the poller is quiet again...
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "drained waker must be quiet");
+        // ...and the next wake works.
+        waker.wake();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(events.iter().any(|e| e.token == 99 && e.readable));
+        receiver.drain();
     }
 
     /// Regression test for a lost-wakeup race: `drain` used to disarm the
@@ -632,41 +464,39 @@ mod tests {
     fn wake_drain_race_never_strands_pending_work() {
         use std::sync::atomic::AtomicU64;
         const ITEMS: u64 = 20_000;
-        for kind in kinds() {
-            let mut poller = Poller::new(kind).unwrap();
-            let (waker, receiver) = wake_pair().unwrap();
-            poller
-                .register(receiver.raw_fd(), 7, Interest::READ)
+        let mut poller = Poller::new().unwrap();
+        let (waker, receiver) = wake_pair().unwrap();
+        poller
+            .register(receiver.raw_fd(), 7, Interest::READ)
+            .unwrap();
+
+        let pending = Arc::new(AtomicU64::new(0));
+        let producer = {
+            let pending = Arc::clone(&pending);
+            let waker = waker.clone();
+            std::thread::spawn(move || {
+                for _ in 0..ITEMS {
+                    pending.fetch_add(1, Ordering::Release);
+                    waker.wake();
+                }
+            })
+        };
+
+        let mut events = Vec::new();
+        let mut consumed = 0u64;
+        while consumed < ITEMS {
+            let n = poller
+                .wait(&mut events, Some(Duration::from_secs(5)))
                 .unwrap();
-
-            let pending = Arc::new(AtomicU64::new(0));
-            let producer = {
-                let pending = Arc::clone(&pending);
-                let waker = waker.clone();
-                std::thread::spawn(move || {
-                    for _ in 0..ITEMS {
-                        pending.fetch_add(1, Ordering::Release);
-                        waker.wake();
-                    }
-                })
-            };
-
-            let mut events = Vec::new();
-            let mut consumed = 0u64;
-            while consumed < ITEMS {
-                let n = poller
-                    .wait(&mut events, Some(Duration::from_secs(5)))
-                    .unwrap();
-                receiver.drain();
-                let grabbed = pending.swap(0, Ordering::AcqRel);
-                consumed += grabbed;
-                assert!(
-                    n > 0 || grabbed > 0 || consumed == ITEMS,
-                    "{kind:?}: wait timed out with {} items stranded",
-                    ITEMS - consumed
-                );
-            }
-            producer.join().unwrap();
+            receiver.drain();
+            let grabbed = pending.swap(0, Ordering::AcqRel);
+            consumed += grabbed;
+            assert!(
+                n > 0 || grabbed > 0 || consumed == ITEMS,
+                "wait timed out with {} items stranded",
+                ITEMS - consumed
+            );
         }
+        producer.join().unwrap();
     }
 }

@@ -401,11 +401,6 @@ impl FrameAssembler {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Bytes buffered but not yet yielded (partial frame + unparsed frames).
-    pub fn pending_len(&self) -> usize {
-        self.buf.len() - self.at
-    }
-
     /// Yields the next complete frame payload, or `Ok(None)` when more bytes
     /// are needed.
     ///
@@ -1015,7 +1010,7 @@ mod tests {
                 }
             }
             assert_eq!(yielded, frames, "chunk size {chunk}");
-            assert_eq!(assembler.pending_len(), 0, "chunk size {chunk}");
+            assert_eq!(assembler.buf.len() - assembler.at, 0, "chunk size {chunk}");
         }
     }
 
@@ -1049,10 +1044,10 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, 49);
-        assert!(assembler.pending_len() > 0);
+        assert!(assembler.buf.len() - assembler.at > 0);
         assembler.extend(&wire[wire.len() - 3..]);
         assert_eq!(assembler.next_frame().unwrap().unwrap(), b"frame-49");
-        assert_eq!(assembler.pending_len(), 0);
+        assert_eq!(assembler.buf.len() - assembler.at, 0);
     }
 
     #[test]

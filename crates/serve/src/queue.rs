@@ -77,11 +77,6 @@ impl<T> BoundedQueue<T> {
         self.len() == 0
     }
 
-    /// `true` once [`BoundedQueue::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.lock().closed
-    }
-
     /// Enqueues `item`, or refuses it when the queue is full or closed.
     /// Never blocks.
     ///
@@ -243,7 +238,7 @@ mod tests {
         out.clear();
         assert!(!queue.pop_batch(1, Duration::ZERO, &mut out));
         assert!(out.is_empty());
-        assert!(queue.is_closed());
+        assert!(queue.lock().closed);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! reader and a blocking writer), so the thread budget *was* the admission
 //! limit and 10k mostly-idle connections would have meant 20k parked
 //! threads. Here every socket is non-blocking and registered with an epoll
-//! (or portable `poll(2)`) poller: idle connections cost a file descriptor
+//! poller: idle connections cost a file descriptor
 //! and a table entry, and the loop does work only when a socket is actually
 //! ready. Total thread count is two — this loop and the batcher —
 //! regardless of connection count.
@@ -54,7 +54,7 @@ use mc_metrics::trace::{Stage, Trace};
 use meancache::ShardedCache;
 
 use crate::pipeline::{request_kind, ServeConfig, ServePipeline, ServeReply, ServeRequest};
-use crate::poller::{wake_pair, Interest, Poller, PollerKind, WakeReceiver, Waker};
+use crate::poller::{wake_pair, Interest, Poller, WakeReceiver, Waker};
 use crate::protocol::{write_frame, ErrorCode, FrameAssembler, Request, Response, MAX_TENANT_LEN};
 use crate::queue::SubmitError;
 use crate::Ticket;
@@ -127,39 +127,19 @@ pub struct Server;
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), takes ownership of
     /// `cache`, and starts serving: one event-loop thread + the
-    /// micro-batching pipeline. Uses the platform's best poller (epoll on
-    /// Linux, `poll(2)` elsewhere).
+    /// micro-batching pipeline.
     ///
     /// # Errors
-    /// Propagates socket errors from binding.
+    /// Propagates socket, poller-creation and WAL-recovery errors.
     pub fn start(
         cache: ShardedCache,
         config: &ServeConfig,
         addr: impl std::net::ToSocketAddrs,
     ) -> io::Result<ServerHandle> {
-        let kind = if cfg!(target_os = "linux") {
-            PollerKind::Epoll
-        } else {
-            PollerKind::Poll
-        };
-        Self::start_with_poller(cache, config, addr, kind)
-    }
-
-    /// [`Server::start`] with an explicit readiness backend (the `serve`
-    /// binary's `--poller` flag; CI smokes both).
-    ///
-    /// # Errors
-    /// Propagates socket and poller-creation errors.
-    pub fn start_with_poller(
-        cache: ShardedCache,
-        config: &ServeConfig,
-        addr: impl std::net::ToSocketAddrs,
-        poller: PollerKind,
-    ) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
-        let mut poller = Poller::new(poller)?;
+        let mut poller = Poller::new()?;
         let (waker, wake_rx) = wake_pair()?;
         poller.register(listener.as_raw_fd(), TOKEN_LISTENER, Interest::READ)?;
         poller.register(wake_rx.raw_fd(), TOKEN_WAKER, Interest::READ)?;
@@ -167,13 +147,9 @@ impl Server {
         // that cannot establish its durability story must not serve.
         let pipeline = ServePipeline::start(cache, config)
             .map_err(|e| io::Error::other(format!("serve WAL recovery failed: {e}")))?;
-        pipeline.metrics().set_build_info(
-            match poller.kind() {
-                PollerKind::Epoll => "epoll",
-                PollerKind::Poll => "poll",
-            },
-            &config.fsync.to_string(),
-        );
+        pipeline
+            .metrics()
+            .set_build_info("epoll", &config.fsync.to_string());
         let shared = Arc::new(ServerShared {
             pipeline,
             stop: AtomicBool::new(false),
@@ -479,8 +455,13 @@ impl EventLoop<'_> {
             };
             if draining || self.conns.len() >= self.max_connections {
                 // Accepted sockets are blocking by default; a 6-byte frame
-                // into a fresh send buffer cannot stall.
-                let _ = write_frame(&mut stream, &Response::Busy.encode());
+                // into a fresh send buffer cannot stall. It goes out in one
+                // write: closing over a request the client already sent
+                // resets the connection, and a payload that Nagle held back
+                // behind a separate header write would be lost with it.
+                let mut frame = Vec::with_capacity(8);
+                let _ = write_frame(&mut frame, &Response::Busy.encode());
+                let _ = stream.write_all(&frame);
                 continue;
             }
             if stream.set_nonblocking(true).is_err() {
@@ -887,8 +868,7 @@ impl EventLoop<'_> {
 
     fn close_conn(&mut self, token: u64) {
         if let Some(conn) = self.conns.remove(&token) {
-            // Deregister before the fd closes: the poll(2) backend keeps
-            // its own registration table.
+            // Deregister before the fd closes.
             let _ = self.poller.deregister(conn.stream.as_raw_fd());
         }
     }

@@ -499,27 +499,6 @@ fn shutdown_saves_automatically_when_persistence_is_configured() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Both readiness backends serve an identical round trip: what CI smokes
-/// with `--poller epoll` and `--poller poll` is also pinned here.
-#[test]
-fn poll_fallback_backend_serves_round_trips() {
-    for kind in [mc_serve::PollerKind::Epoll, mc_serve::PollerKind::Poll] {
-        let handle =
-            Server::start_with_poller(cache(2), &ServeConfig::default(), "127.0.0.1:0", kind)
-                .unwrap();
-        let mut client = Client::connect(handle.addr()).unwrap();
-        client.ping().unwrap();
-        client
-            .insert("poller backend subject", "resp", &[])
-            .unwrap();
-        let outcome = client.lookup("poller backend subject", &[]).unwrap();
-        assert!(outcome.is_hit(), "{kind:?}: lookup must hit");
-        assert!(client.lookup("never inserted qzx", &[]).unwrap().is_miss());
-        drop(client);
-        handle.shutdown();
-    }
-}
-
 /// The `/metrics`-style text dump travels the wire and reflects traffic.
 #[test]
 fn metrics_text_round_trips_over_the_wire() {

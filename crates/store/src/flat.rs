@@ -27,7 +27,6 @@ use std::collections::HashMap;
 
 use mc_tensor::ops::TopK;
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 use crate::index::{SearchHit, VectorIndex};
 use crate::rows::{Quantization, RowStore};
@@ -53,7 +52,7 @@ pub const DEFAULT_PARALLEL_SEARCH_THRESHOLD: usize = 2_048;
 const TILE_ROWS: usize = 1024;
 
 /// Contiguous embedding index supporting add / remove / top-k search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FlatIndex {
     dims: usize,
     /// Row arena under the configured codec (`f32` exact or SQ8 quantised) —

@@ -232,23 +232,6 @@ mod tests {
     }
 
     #[test]
-    fn populated_flat_index_serde_round_trip() {
-        let mut index = IndexKind::flat().build(2).unwrap();
-        for id in 0..40u64 {
-            let angle = id as f32 * 0.17;
-            index.add(id, &[angle.cos(), angle.sin()]).unwrap();
-        }
-        let json = serde_json::to_string(&index).unwrap();
-        let back: FlatIndex = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.len(), 40);
-        let query = [0.17f32.cos(), 0.17f32.sin()];
-        assert_eq!(
-            back.search(&query, 3, 0.0).unwrap(),
-            index.search(&query, 3, 0.0).unwrap()
-        );
-    }
-
-    #[test]
     fn backends_are_send_sync_for_concurrent_readers() {
         // The serving layer shares indexes across threads (`&self` searches
         // under RwLock read guards); a backend regressing to `!Send`/`!Sync`

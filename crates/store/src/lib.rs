@@ -7,10 +7,10 @@
 //! provides the equivalent building blocks:
 //!
 //! * [`entry`] — the cache record: query, response, embedding, context link,
-//!   and the access metadata eviction policies need.
-//! * [`policy`] — LRU / LFU / FIFO eviction.
-//! * [`memstore`] — a bounded in-memory store applying an eviction policy,
-//!   with its entries kept in eviction order so an insert never scans.
+//!   and the access metadata LRU eviction needs.
+//! * [`memstore`] — a bounded in-memory store evicting the least recently
+//!   used entry, with its entries kept in eviction order so an insert never
+//!   scans.
 //! * [`disk`] — the persistent entry log, mirroring DiskCache's role: a
 //!   cache's entries dumped atomically to one checksummed file
 //!   ([`write_compacted_log`]) and read back ([`read_entry_log`]), plus
@@ -52,7 +52,6 @@ pub mod flat;
 pub mod index;
 pub mod memstore;
 pub mod mmap;
-pub mod policy;
 pub mod rows;
 pub mod snapshot;
 pub mod wal;
@@ -62,7 +61,6 @@ pub use entry::CacheEntry;
 pub use flat::{FlatIndex, DEFAULT_PARALLEL_SEARCH_THRESHOLD};
 pub use index::{IndexKind, SearchHit, VectorIndex};
 pub use memstore::MemoryStore;
-pub use policy::EvictionPolicy;
 pub use rows::{Quantization, RowStore};
 pub use snapshot::{load_snapshot, save_snapshot, LogFingerprint, RestoredSnapshot, SnapshotView};
 pub use wal::{FramedLog, FsyncPolicy, RecoveryStats};

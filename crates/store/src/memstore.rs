@@ -1,14 +1,15 @@
-//! Bounded in-memory cache store with pluggable eviction.
+//! Bounded in-memory cache store with LRU eviction.
 //!
-//! The eviction rule: an insert into a full store evicts the entry with the
-//! smallest [`EvictionPolicy::key`] among those no resident entry names as
-//! its parent (so context chains never dangle), or the smallest over all
-//! entries when every one is named. The new entry's own parent link is
-//! counted only after the victim is chosen, so an insert may evict the very
-//! parent it links to. A parent id that is not resident pins nothing.
+//! The eviction rule: an insert into a full store evicts the least recently
+//! used entry — the smallest `(last_access, id)` — among those no resident
+//! entry names as its parent (so context chains never dangle), or the least
+//! recently used of all entries when every one is named. The new entry's own
+//! parent link is counted only after the victim is chosen, so an insert may
+//! evict the very parent it links to. A parent id that is not resident pins
+//! nothing.
 //!
 //! The store keeps that order in an eviction index: two sorted sets of
-//! policy keys, *free* and *pinned*, and a count of resident children per
+//! recency keys, *free* and *pinned*, and a count of resident children per
 //! parent id. The victim is the first free key, else the first pinned one,
 //! and every insert, touch and removal moves O(1) keys, so each costs
 //! O(log n). Only the whole-store accessors (`iter`, `ids`, the byte
@@ -16,17 +17,21 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use crate::{CacheEntry, EvictionPolicy, Result, StoreError};
+use crate::{CacheEntry, Result, StoreError};
 
-/// A policy key, as [`EvictionPolicy::key`] returns it.
-type Key = (u64, u64, u64);
+/// An entry's place in eviction order, `(last_access, id)`: the smallest
+/// goes first, and two entries never tie.
+type Key = (u64, u64);
+
+fn key(entry: &CacheEntry) -> Key {
+    (entry.last_access, entry.id)
+}
 
 /// The resident entries in eviction order, split by whether some resident
 /// entry names them as parent. Every resident entry's key is in exactly one
 /// of `free` and `pinned`: in `pinned` iff `children` counts it.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct EvictionIndex {
-    policy: EvictionPolicy,
     /// Keys of entries no resident entry names as parent.
     free: BTreeSet<Key>,
     /// Keys of entries at least one resident entry names as parent.
@@ -37,15 +42,6 @@ struct EvictionIndex {
 }
 
 impl EvictionIndex {
-    fn new(policy: EvictionPolicy) -> Self {
-        Self {
-            policy,
-            free: BTreeSet::new(),
-            pinned: BTreeSet::new(),
-            children: HashMap::new(),
-        }
-    }
-
     /// The set holding `id`'s key.
     fn set_of(&mut self, id: u64) -> &mut BTreeSet<Key> {
         if self.children.contains_key(&id) {
@@ -60,7 +56,7 @@ impl EvictionIndex {
         self.free
             .first()
             .or_else(|| self.pinned.first())
-            .map(|&(_, _, id)| id)
+            .map(|&(_, id)| id)
     }
 
     /// Indexes `entry`, which is about to join `entries` (it is not in it
@@ -71,20 +67,17 @@ impl EvictionIndex {
             *count += 1;
             if *count == 1 {
                 if let Some(p) = entries.get(&parent) {
-                    let key = self.policy.key(p);
-                    self.free.remove(&key);
-                    self.pinned.insert(key);
+                    self.free.remove(&key(p));
+                    self.pinned.insert(key(p));
                 }
             }
         }
-        let key = self.policy.key(entry);
-        self.set_of(entry.id).insert(key);
+        self.set_of(entry.id).insert(key(entry));
     }
 
     /// Drops `entry`, which has just left `entries`, and its parent link.
     fn forget(&mut self, entry: &CacheEntry, entries: &HashMap<u64, CacheEntry>) {
-        let key = self.policy.key(entry);
-        self.set_of(entry.id).remove(&key);
+        self.set_of(entry.id).remove(&key(entry));
         let Some(parent) = entry.parent else {
             return;
         };
@@ -95,9 +88,8 @@ impl EvictionIndex {
         if *count == 0 {
             self.children.remove(&parent);
             if let Some(p) = entries.get(&parent) {
-                let key = self.policy.key(p);
-                self.pinned.remove(&key);
-                self.free.insert(key);
+                self.pinned.remove(&key(p));
+                self.free.insert(key(p));
             }
         }
     }
@@ -121,7 +113,7 @@ impl EvictionIndex {
 /// A bounded in-memory store of [`CacheEntry`] values.
 ///
 /// The store owns a logical clock: every insert/touch advances it, and the
-/// eviction policies use those logical timestamps rather than wall-clock time
+/// eviction order uses those logical timestamps rather than wall-clock time
 /// so behaviour is deterministic in tests and experiments.
 #[derive(Debug, Clone)]
 pub struct MemoryStore {
@@ -138,13 +130,13 @@ impl MemoryStore {
     ///
     /// # Errors
     /// Returns [`StoreError::InvalidConfig`] for a zero capacity.
-    pub fn new(capacity: usize, policy: EvictionPolicy) -> Result<Self> {
+    pub fn new(capacity: usize) -> Result<Self> {
         if capacity == 0 {
             return Err(StoreError::InvalidConfig("capacity must be >= 1".into()));
         }
         Ok(Self {
             entries: HashMap::with_capacity(capacity.min(4096)),
-            index: EvictionIndex::new(policy),
+            index: EvictionIndex::default(),
             capacity,
             clock: 0,
             next_id: 0,
@@ -180,11 +172,6 @@ impl MemoryStore {
         self.capacity = capacity.max(1);
     }
 
-    /// The eviction policy in use.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.index.policy
-    }
-
     /// Number of evictions performed so far.
     pub fn evictions(&self) -> u64 {
         self.evictions
@@ -202,14 +189,14 @@ impl MemoryStore {
         id
     }
 
-    /// Inserts an entry, evicting according to the policy if the store is
+    /// Inserts an entry, evicting the least recently used one if the store is
     /// full. Returns the id of the evicted entry, if any. Re-inserting a
     /// resident id replaces that entry and evicts nothing.
     ///
     /// Entries that are referenced as a *parent* by other cached entries are
     /// protected from eviction so context chains never dangle; if every
-    /// entry is protected the insert still succeeds by evicting the policy's
-    /// choice among all entries. The module docs state the rule exactly.
+    /// entry is protected the insert still succeeds by evicting the least
+    /// recently used of all entries. The module docs state the rule exactly.
     pub fn insert(&mut self, mut entry: CacheEntry) -> Option<u64> {
         self.clock += 1;
         entry.inserted_at = self.clock;
@@ -243,14 +230,14 @@ impl MemoryStore {
         self.entries.get(&id)
     }
 
-    /// Looks up an entry and records an access (for LRU/LFU bookkeeping).
+    /// Looks up an entry and records an access (for LRU bookkeeping).
     /// The clock advances even when no entry has that id.
     pub fn get_mut_touch(&mut self, id: u64) -> Option<&CacheEntry> {
         self.clock += 1;
         let entry = self.entries.get_mut(&id)?;
-        let old = self.index.policy.key(entry);
+        let old = key(entry);
         entry.touch(self.clock);
-        self.index.rekey(id, old, self.index.policy.key(entry));
+        self.index.rekey(id, old, key(entry));
         Some(entry)
     }
 
@@ -312,12 +299,12 @@ mod tests {
 
     #[test]
     fn zero_capacity_is_rejected() {
-        assert!(MemoryStore::new(0, EvictionPolicy::Lru).is_err());
+        assert!(MemoryStore::new(0).is_err());
     }
 
     #[test]
     fn insert_and_get_round_trip() {
-        let mut store = MemoryStore::new(10, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(10).unwrap();
         store.insert(entry(1));
         store.insert(entry(2));
         assert_eq!(store.len(), 2);
@@ -329,7 +316,7 @@ mod tests {
 
     #[test]
     fn capacity_is_never_exceeded_and_lru_entry_goes_first() {
-        let mut store = MemoryStore::new(3, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(3).unwrap();
         store.insert(entry(1));
         store.insert(entry(2));
         store.insert(entry(3));
@@ -344,26 +331,14 @@ mod tests {
     }
 
     #[test]
-    fn lfu_evicts_cold_entries() {
-        let mut store = MemoryStore::new(2, EvictionPolicy::Lfu).unwrap();
-        store.insert(entry(1));
-        store.insert(entry(2));
-        for _ in 0..5 {
-            store.get_mut_touch(1);
-        }
-        let evicted = store.insert(entry(3));
-        assert_eq!(evicted, Some(2));
-    }
-
-    #[test]
     fn parents_of_cached_entries_are_protected_from_eviction() {
-        let mut store = MemoryStore::new(2, EvictionPolicy::Fifo).unwrap();
+        let mut store = MemoryStore::new(2).unwrap();
         store.insert(entry(1));
         let mut child = entry(2);
         child.parent = Some(1);
         store.insert(child);
-        // FIFO would normally evict 1 (oldest), but 1 is referenced by 2, so
-        // the eviction must fall on 2 instead.
+        // LRU would normally evict 1 (least recent), but 1 is referenced by
+        // 2, so the eviction must fall on 2 instead.
         let evicted = store.insert(entry(3));
         assert_eq!(evicted, Some(2));
         assert!(store.get(1).is_some());
@@ -371,7 +346,7 @@ mod tests {
 
     #[test]
     fn an_insert_may_evict_the_parent_it_links_to() {
-        let mut store = MemoryStore::new(2, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(2).unwrap();
         store.insert(entry(1));
         store.insert(entry(2));
         // 3 links to 1, but its link counts only after the victim is chosen.
@@ -386,7 +361,7 @@ mod tests {
 
     #[test]
     fn when_every_entry_is_pinned_the_policy_minimum_goes() {
-        let mut store = MemoryStore::new(2, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(2).unwrap();
         // 1 and 2 name each other: both pinned, so LRU picks among all.
         let mut a = entry(1);
         a.parent = Some(2);
@@ -402,7 +377,7 @@ mod tests {
 
     #[test]
     fn reinserting_an_existing_id_does_not_evict() {
-        let mut store = MemoryStore::new(2, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(2).unwrap();
         store.insert(entry(1));
         store.insert(entry(2));
         let evicted = store.insert(entry(2));
@@ -412,7 +387,7 @@ mod tests {
 
     #[test]
     fn remove_and_clear() {
-        let mut store = MemoryStore::new(4, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(4).unwrap();
         store.insert(entry(1));
         assert_eq!(store.remove(1).unwrap().id, 1);
         assert!(matches!(store.remove(1), Err(StoreError::NotFound(1))));
@@ -423,7 +398,7 @@ mod tests {
 
     #[test]
     fn storage_accounting_sums_entries() {
-        let mut store = MemoryStore::new(10, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(10).unwrap();
         store.insert(entry(1));
         store.insert(entry(2));
         let expected: usize = store.iter().map(|e| e.storage_bytes()).sum();
@@ -433,7 +408,7 @@ mod tests {
 
     #[test]
     fn next_id_is_monotone_and_respects_inserted_ids() {
-        let mut store = MemoryStore::new(4, EvictionPolicy::Lru).unwrap();
+        let mut store = MemoryStore::new(4).unwrap();
         let a = store.next_id();
         let b = store.next_id();
         assert!(b > a);

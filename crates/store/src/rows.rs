@@ -38,8 +38,8 @@
 //! `‖e‖₂ + (dims + 16)·2⁻²³·‖r‖₂`, where `e = r − (m + s·c)` is the row's
 //! quantisation residual, both computed in `f64` and rounded up to `f32`.
 //! The shadow is derived: `push`, `replace` and `swap_remove` keep it in
-//! step, `from_arenas_f32` (mapped snapshot restore) and deserialisation
-//! rebuild it, and nothing persists it — no byte on disk changed.
+//! step, `from_arenas_f32` (mapped snapshot restore) rebuilds it, and
+//! nothing persists it — no byte on disk changed.
 //!
 //! *The query side*, once per scan: `q = s_q·k + f` with `s_q = max|q|/64`,
 //! integer steps `k_j ∈ [−64, 64]` and residual `f`, plus `Σq`, `Σf`,
@@ -131,16 +131,6 @@ impl Quantization {
         match self {
             Quantization::F32 => "f32",
             Quantization::Sq8 => "sq8",
-        }
-    }
-
-    /// Payload bytes one stored row costs under this codec (excluding the
-    /// row id).
-    pub fn row_bytes(&self, dims: usize) -> usize {
-        match self {
-            Quantization::F32 => dims * std::mem::size_of::<f32>(),
-            // dims codes + per-row scale and min.
-            Quantization::Sq8 => dims + 2 * std::mem::size_of::<f32>(),
         }
     }
 }
@@ -270,28 +260,8 @@ impl<T: Copy + std::fmt::Debug + 'static> std::fmt::Debug for Arena<T> {
     }
 }
 
-// Serde sees an arena as its values: a mapped arena serialises like the
-// equivalent Vec, and deserialisation always produces an owned arena (a
-// JSON/log round-trip cannot resurrect a file mapping).
-impl<T: Copy + Serialize + 'static> Serialize for Arena<T> {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Array(
-            self.as_slice()
-                .iter()
-                .map(Serialize::serialize_value)
-                .collect(),
-        )
-    }
-}
-
-impl<T: Copy + Deserialize + 'static> Deserialize for Arena<T> {
-    fn deserialize_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        Vec::<T>::deserialize_value(value).map(Arena::Owned)
-    }
-}
-
 /// The per-codec row payload arena.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 enum RowData {
     /// `len · dims` raw values.
     F32 { values: Arena<f32> },
@@ -325,41 +295,6 @@ pub struct RowStore {
     /// The pre-screen's view of `F32` rows (empty under `Sq8`): derived
     /// from `data`, kept in step with it by every mutation, never persisted.
     shadow: Shadow,
-}
-
-// Serde sees the persisted fields only, exactly as a derive over `dims`,
-// `ids` and `data` would; deserialisation rebuilds the shadow.
-impl Serialize for RowStore {
-    fn serialize_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("dims".to_string(), self.dims.serialize_value()),
-            ("ids".to_string(), self.ids.serialize_value()),
-            ("data".to_string(), self.data.serialize_value()),
-        ])
-    }
-}
-
-impl Deserialize for RowStore {
-    fn deserialize_value(value: &serde::Value) -> std::result::Result<Self, serde::Error> {
-        if value.as_object().is_none() {
-            return Err(serde::Error::custom("expected object for RowStore"));
-        }
-        let field = |name: &str| {
-            value
-                .get(name)
-                .ok_or_else(|| serde::Error::custom(format!("missing field `{name}` in RowStore")))
-        };
-        let dims = usize::deserialize_value(field("dims")?)?;
-        let ids = Arena::deserialize_value(field("ids")?)?;
-        let data = RowData::deserialize_value(field("data")?)?;
-        let shadow = Shadow::of(dims, &data);
-        Ok(Self {
-            dims,
-            ids,
-            data,
-            shadow,
-        })
-    }
 }
 
 impl RowStore {
@@ -584,38 +519,24 @@ impl RowStore {
         (pos != last).then(|| self.ids.as_slice()[pos])
     }
 
-    /// Appends the `f32` view of row `pos` to `out` (a copy for `F32`, a
-    /// dequantisation for `Sq8`). Used to hand rows to f32-space consumers
-    /// such as k-means training.
-    pub fn extend_row_f32(&self, pos: usize, out: &mut Vec<f32>) {
-        Self::extend_row_f32_ref(&self.data, self.dims, pos, out);
-    }
-
-    fn extend_row_f32_ref(data: &RowData, dims: usize, pos: usize, out: &mut Vec<f32>) {
-        let span = pos * dims..(pos + 1) * dims;
-        match data {
-            RowData::F32 { values } => out.extend_from_slice(&values.as_slice()[span]),
+    /// The `f32` view of row `pos` as a fresh `Vec` (a copy for `F32`, a
+    /// dequantisation for `Sq8`).
+    pub fn row_f32(&self, pos: usize) -> Vec<f32> {
+        let span = pos * self.dims..(pos + 1) * self.dims;
+        match &self.data {
+            RowData::F32 { values } => values.as_slice()[span].to_vec(),
             RowData::Sq8 {
                 codes,
                 scales,
                 mins,
             } => {
                 let (scale, min) = (scales.as_slice()[pos], mins.as_slice()[pos]);
-                out.extend(
-                    codes.as_slice()[span]
-                        .iter()
-                        .map(|&c| min + c as f32 * scale),
-                );
+                codes.as_slice()[span]
+                    .iter()
+                    .map(|&c| min + c as f32 * scale)
+                    .collect()
             }
         }
-    }
-
-    /// The `f32` view of row `pos` as a fresh `Vec` (a copy for `F32`, a
-    /// dequantisation for `Sq8`).
-    pub fn row_f32(&self, pos: usize) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.dims);
-        Self::extend_row_f32_ref(&self.data, self.dims, pos, &mut out);
-        out
     }
 
     /// The stored SQ8 representation of row `pos` (`codes, scale, min`), or
@@ -1137,28 +1058,7 @@ mod tests {
         // bound constants per row.
         assert_eq!(f32_store.storage_bytes(), 10 * (dims * 4 + 8 + dims + 16));
         assert_eq!(sq8_store.storage_bytes(), 10 * (dims + 8 + 8));
-        assert_eq!(Quantization::F32.row_bytes(dims), 256);
-        assert_eq!(Quantization::Sq8.row_bytes(dims), 72);
         assert!(sq8_store.storage_bytes() * 3 < f32_store.storage_bytes());
-    }
-
-    #[test]
-    fn serde_sees_the_persisted_fields_only() {
-        let mut store = RowStore::new(3, Quantization::F32);
-        store.push(7, &unit(vec![1.0, 2.0, 3.0]));
-        let value = store.serialize_value();
-        let fields: Vec<&str> = value
-            .as_object()
-            .unwrap()
-            .iter()
-            .map(|(name, _)| name.as_str())
-            .collect();
-        assert_eq!(fields, ["dims", "ids", "data"]);
-        let back = RowStore::deserialize_value(&value).unwrap();
-        assert_eq!(back.serialize_value(), value);
-        assert_eq!(back.shadow.codes, store.shadow.codes);
-        assert_eq!(back.shadow.slacks, store.shadow.slacks);
-        assert!(RowStore::deserialize_value(&serde::Value::Null).is_err());
     }
 
     #[test]

@@ -25,12 +25,11 @@
 //!   records pays one `fdatasync` for all of them; [`FramedLog::append`] is
 //!   the two back to back. [`FsyncPolicy`] decides what a commit does:
 //!   `Always` (one fdatasync covering everything staged — a record whose
-//!   commit returned survives SIGKILL and power loss), `EveryN`
-//!   (bounded-loss batching), or `Never` (OS page cache only; survives
-//!   process crash but not power loss). The durability promise attaches to
-//!   the commit: acknowledge a record only after the commit that follows
-//!   its stage has returned. See `docs/ARCHITECTURE.md` ("Failure
-//!   semantics").
+//!   commit returned survives SIGKILL and power loss) or `Never` (OS page
+//!   cache only; survives process crash but not power loss). The
+//!   durability promise attaches to the commit: acknowledge a record only
+//!   after the commit that follows its stage has returned. See
+//!   `docs/ARCHITECTURE.md` ("Failure semantics").
 
 use std::fs::{File, OpenOptions};
 use std::io::{ErrorKind, Write};
@@ -59,35 +58,20 @@ pub const MAX_RECORD_LEN: u32 = 256 * 1024 * 1024;
 /// no fsync) and costs nothing on the hot path; `Always` makes every
 /// committed record durable against power loss at the price of one
 /// `fdatasync` per commit — per record for [`FramedLog::append`], per batch
-/// for a caller that stages several records first; `EveryN(n)` syncs at the
-/// first commit with `n` or more unsynced records behind it, bounding loss
-/// to at most `n - 1` committed records.
+/// for a caller that stages several records first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum FsyncPolicy {
     /// `fdatasync` at every commit that has a record staged.
     Always,
-    /// `fdatasync` at a commit once `n` records are unsynced (`n >= 1`).
-    EveryN(u32),
     /// Never fsync; rely on the OS flushing the page cache.
     #[default]
     Never,
-}
-
-impl FsyncPolicy {
-    /// Validates the policy (EveryN requires `n >= 1`).
-    pub fn validate(self) -> std::result::Result<(), String> {
-        match self {
-            FsyncPolicy::EveryN(0) => Err("fsync policy every-n requires n >= 1".into()),
-            _ => Ok(()),
-        }
-    }
 }
 
 impl std::fmt::Display for FsyncPolicy {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             FsyncPolicy::Always => write!(f, "always"),
-            FsyncPolicy::EveryN(n) => write!(f, "every-{n}"),
             FsyncPolicy::Never => write!(f, "never"),
         }
     }
@@ -96,21 +80,14 @@ impl std::fmt::Display for FsyncPolicy {
 impl FromStr for FsyncPolicy {
     type Err = String;
 
-    /// Parses `always`, `never`, or `every-N` (e.g. `every-64`).
+    /// Parses `always` or `never`.
     fn from_str(s: &str) -> std::result::Result<Self, String> {
         match s {
             "always" => Ok(FsyncPolicy::Always),
             "never" => Ok(FsyncPolicy::Never),
-            _ => {
-                let n = s
-                    .strip_prefix("every-")
-                    .and_then(|n| n.parse::<u32>().ok())
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| {
-                        format!("invalid fsync policy {s:?} (expected always, never, or every-N)")
-                    })?;
-                Ok(FsyncPolicy::EveryN(n))
-            }
+            _ => Err(format!(
+                "invalid fsync policy {s:?} (expected always or never)"
+            )),
         }
     }
 }
@@ -183,9 +160,9 @@ pub(crate) fn is_framed(raw: &[u8]) -> bool {
 pub struct FramedLog {
     file: File,
     policy: FsyncPolicy,
-    /// Records staged since the last sync. Not counted under
-    /// [`FsyncPolicy::Never`], where nothing would ever reset it.
-    unsynced_appends: u32,
+    /// Whether a record was staged since the last sync. Never set under
+    /// [`FsyncPolicy::Never`], where nothing would ever clear it.
+    unsynced: bool,
     /// Failpoint scope tag (the log's path), so tests can target one log
     /// without perturbing every other open log in the process.
     tag: String,
@@ -229,7 +206,7 @@ impl FramedLog {
         let mut log = Self {
             file,
             policy,
-            unsynced_appends: 0,
+            unsynced: false,
             tag: path.display().to_string(),
         };
         if valid_end == 0 {
@@ -263,26 +240,19 @@ impl FramedLog {
         let mut frame = Vec::with_capacity(FRAME_HEADER + 1 + payload.len());
         frame_record(&mut frame, kind, payload);
         self.write_frame(&frame)?;
-        if self.policy != FsyncPolicy::Never {
-            self.unsynced_appends += 1;
-        }
+        self.unsynced |= self.policy == FsyncPolicy::Always;
         Ok(())
     }
 
     /// Applies the fsync policy to every record staged so far — the one
     /// sync a batch of records shares. Returns whether an `fdatasync` ran:
-    /// under `Always` when anything is staged, under `EveryN(n)` once `n`
-    /// records are unsynced, under `Never` never.
+    /// under `Always` when anything is staged, under `Never` never.
     ///
     /// # Errors
     /// Returns [`StoreError::Io`] when the sync fails. The staged records
-    /// stay written and counted, so the next commit retries the sync.
+    /// stay written and owed a sync, so the next commit retries it.
     pub fn commit(&mut self) -> Result<bool> {
-        let due = match self.policy {
-            FsyncPolicy::Always => self.unsynced_appends > 0,
-            FsyncPolicy::EveryN(n) => self.unsynced_appends >= n,
-            FsyncPolicy::Never => false,
-        };
+        let due = self.unsynced;
         if due {
             self.sync()?;
         }
@@ -298,7 +268,7 @@ impl FramedLog {
             result.map(|_| ()).map_err(StoreError::from)?;
         }
         self.file.sync_data()?;
-        self.unsynced_appends = 0;
+        self.unsynced = false;
         Ok(())
     }
 
@@ -311,7 +281,7 @@ impl FramedLog {
     pub fn reset(&mut self) -> Result<()> {
         self.file.set_len(MAGIC.len() as u64)?;
         self.file.sync_data()?;
-        self.unsynced_appends = 0;
+        self.unsynced = false;
         Ok(())
     }
 
@@ -577,15 +547,11 @@ mod tests {
             FsyncPolicy::Always
         );
         assert_eq!("never".parse::<FsyncPolicy>().unwrap(), FsyncPolicy::Never);
-        assert_eq!(
-            "every-64".parse::<FsyncPolicy>().unwrap(),
-            FsyncPolicy::EveryN(64)
-        );
-        assert!("every-0".parse::<FsyncPolicy>().is_err());
+        // The retired batching value is refused, not read as a sync period.
+        assert!("every-64".parse::<FsyncPolicy>().is_err());
         assert!("sometimes".parse::<FsyncPolicy>().is_err());
-        assert_eq!(FsyncPolicy::EveryN(8).to_string(), "every-8");
-        assert!(FsyncPolicy::EveryN(0).validate().is_err());
-        assert!(FsyncPolicy::Always.validate().is_ok());
+        assert_eq!(FsyncPolicy::Always.to_string(), "always");
+        assert_eq!(FsyncPolicy::Never.to_string(), "never");
     }
 
     #[test]
@@ -676,7 +642,7 @@ mod tests {
     fn appends_continue_after_recovery() {
         let path = temp_path("continue");
         {
-            let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::EveryN(2)).unwrap();
+            let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::Always).unwrap();
             log.append(1, b"keep").unwrap();
         }
         // Torn tail: half a frame header.
@@ -762,11 +728,7 @@ mod tests {
     #[test]
     fn append_is_stage_plus_commit_byte_for_byte() {
         let records: [(u8, &[u8]); 3] = [(1, b"first"), (4, b""), (5, &[0xff; 300])];
-        for policy in [
-            FsyncPolicy::Always,
-            FsyncPolicy::EveryN(2),
-            FsyncPolicy::Never,
-        ] {
+        for policy in [FsyncPolicy::Always, FsyncPolicy::Never] {
             let appended = temp_path("appended");
             let staged = temp_path("staged");
             {
@@ -811,32 +773,14 @@ mod tests {
         failpoints::clear_scoped("wal.sync", &tag);
         std::fs::remove_file(&path).ok();
 
-        // EveryN(4): whatever the batch sizes, no commit point leaves four
-        // records that a caller may have acknowledged but no sync covers.
-        let path = temp_path("commit_every_n");
-        let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::EveryN(4)).unwrap();
-        let mut synced = Vec::new();
-        for batch in [1, 1, 1, 1, 3, 2, 6, 1, 2, 4, 3] {
-            for _ in 0..batch {
-                log.stage(1, b"r").unwrap();
-            }
-            synced.push(log.commit().unwrap());
-            assert!(log.unsynced_appends < 4, "after a batch of {batch}");
-        }
-        assert_eq!(
-            synced,
-            [false, false, false, true, false, true, true, false, false, true, false]
-        );
-        std::fs::remove_file(&path).ok();
-
-        // Never: commits do nothing and the counter has nothing to count.
+        // Never: commits do nothing and nothing is owed a sync.
         let path = temp_path("commit_never");
         let (mut log, _, _) = FramedLog::open(&path, FsyncPolicy::Never).unwrap();
         for _ in 0..10 {
             log.stage(1, b"r").unwrap();
         }
         assert!(!log.commit().unwrap());
-        assert_eq!(log.unsynced_appends, 0);
+        assert!(!log.unsynced);
         std::fs::remove_file(&path).ok();
     }
 
@@ -864,7 +808,7 @@ mod tests {
         log.stage(1, &[3]).unwrap();
         assert!(log.commit().unwrap());
         assert_eq!(failpoints::hits("wal.sync", &tag), 2);
-        assert_eq!(log.unsynced_appends, 0);
+        assert!(!log.unsynced);
         failpoints::clear_scoped("wal.sync", &tag);
         drop(log);
         let (_, records, stats) = FramedLog::open(&path, FsyncPolicy::Never).unwrap();

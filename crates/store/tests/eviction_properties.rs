@@ -1,9 +1,9 @@
 //! Eviction through `MemoryStore`'s ordered index, against the full-store
 //! scan it replaced: collect every resident entry's parent, then take the
-//! policy's minimum over the entries nobody names, or over all entries when
+//! least recently used of the entries nobody names, or of all entries when
 //! every one is named.
 //!
-//! Random operation sequences under LRU, LFU and FIFO drive the store and
+//! Random operation sequences drive the store and
 //! the reference side by side: inserts of new and of resident ids, with
 //! parents that are resident, dangling, not yet inserted, the entry itself
 //! or the previous insert (chains of any depth); touches of resident and
@@ -15,28 +15,13 @@
 
 use std::collections::{HashMap, HashSet};
 
-use mc_store::{CacheEntry, EvictionPolicy, MemoryStore};
+use mc_store::{CacheEntry, MemoryStore};
 use mc_tensor::Vector;
 use proptest::prelude::*;
 
-const POLICIES: [EvictionPolicy; 3] = [
-    EvictionPolicy::Lru,
-    EvictionPolicy::Lfu,
-    EvictionPolicy::Fifo,
-];
-
-/// The victim choice `EvictionPolicy` made by iterating over candidates.
-fn select_victim<'a>(
-    policy: EvictionPolicy,
-    entries: impl Iterator<Item = &'a CacheEntry>,
-) -> Option<u64> {
-    match policy {
-        EvictionPolicy::Lru => entries.min_by_key(|e| (e.last_access, e.id)).map(|e| e.id),
-        EvictionPolicy::Lfu => entries
-            .min_by_key(|e| (e.hits, e.last_access, e.id))
-            .map(|e| e.id),
-        EvictionPolicy::Fifo => entries.min_by_key(|e| (e.inserted_at, e.id)).map(|e| e.id),
-    }
+/// The LRU victim among `entries`, chosen by iterating over them.
+fn select_victim<'a>(entries: impl Iterator<Item = &'a CacheEntry>) -> Option<u64> {
+    entries.min_by_key(|e| (e.last_access, e.id)).map(|e| e.id)
 }
 
 /// The store as it was before the eviction index: a map, a clock, and two
@@ -44,17 +29,15 @@ fn select_victim<'a>(
 struct Reference {
     entries: HashMap<u64, CacheEntry>,
     capacity: usize,
-    policy: EvictionPolicy,
     clock: u64,
     evictions: u64,
 }
 
 impl Reference {
-    fn new(capacity: usize, policy: EvictionPolicy) -> Self {
+    fn new(capacity: usize) -> Self {
         Self {
             entries: HashMap::new(),
             capacity,
-            policy,
             clock: 0,
             evictions: 0,
         }
@@ -75,8 +58,8 @@ impl Reference {
                 .entries
                 .values()
                 .filter(|e| !referenced.contains(&e.id));
-            let victim = select_victim(self.policy, unreferenced)
-                .or_else(|| select_victim(self.policy, self.entries.values()));
+            let victim =
+                select_victim(unreferenced).or_else(|| select_victim(self.entries.values()));
             if let Some(id) = victim {
                 self.entries.remove(&id);
                 self.evictions += 1;
@@ -119,9 +102,9 @@ fn entry(id: u64, r: u64, resident: &[u64], last: Option<u64>, fresh: u64) -> Ca
 
 /// Drives a store and the reference through `ops`, each `(kind, a, b)`
 /// decoded into one operation, and asserts they agree throughout.
-fn check(policy: EvictionPolicy, capacity: usize, ops: &[(u8, u64, u64)]) {
-    let mut store = MemoryStore::new(capacity, policy).unwrap();
-    let mut reference = Reference::new(capacity, policy);
+fn check(capacity: usize, ops: &[(u8, u64, u64)]) {
+    let mut store = MemoryStore::new(capacity).unwrap();
+    let mut reference = Reference::new(capacity);
     // The next never-used id, and the id inserted last (a chain's tip).
     let mut fresh = 0u64;
     let mut last: Option<u64> = None;
@@ -137,7 +120,7 @@ fn check(policy: EvictionPolicy, capacity: usize, ops: &[(u8, u64, u64)]) {
                 assert_eq!(
                     store.insert(e.clone()),
                     reference.insert(e),
-                    "{policy} step {step}: insert {id}"
+                    "step {step}: insert {id}"
                 );
             }
             45..=54 => {
@@ -146,7 +129,7 @@ fn check(policy: EvictionPolicy, capacity: usize, ops: &[(u8, u64, u64)]) {
                     assert_eq!(
                         store.insert(e.clone()),
                         reference.insert(e),
-                        "{policy} step {step}: re-insert {id}"
+                        "step {step}: re-insert {id}"
                     );
                 }
             }
@@ -179,8 +162,8 @@ fn check(policy: EvictionPolicy, capacity: usize, ops: &[(u8, u64, u64)]) {
                     fresh += 1;
                     let e = entry(id, b >> (k % 32), &ids, last, fresh);
                     last = Some(id);
-                    assert_eq!(store.insert(e.clone()), None, "{policy} step {step}");
-                    assert_eq!(reference.insert(e), None, "{policy} step {step}");
+                    assert_eq!(store.insert(e.clone()), None, "step {step}");
+                    assert_eq!(reference.insert(e), None, "step {step}");
                 }
             }
             88..=93 => {
@@ -200,13 +183,9 @@ fn check(policy: EvictionPolicy, capacity: usize, ops: &[(u8, u64, u64)]) {
                 reference.capacity = capacity;
             }
         }
-        assert_eq!(store.ids(), reference.ids(), "{policy} step {step}");
-        assert_eq!(store.now(), reference.clock, "{policy} step {step}");
-        assert_eq!(
-            store.evictions(),
-            reference.evictions,
-            "{policy} step {step}"
-        );
+        assert_eq!(store.ids(), reference.ids(), "step {step}");
+        assert_eq!(store.now(), reference.clock, "step {step}");
+        assert_eq!(store.evictions(), reference.evictions, "step {step}");
         assert_eq!(store.capacity(), reference.capacity);
     }
 }
@@ -220,9 +199,7 @@ proptest! {
         capacity in 1usize..24,
         ops in prop::collection::vec((0u8..100, 0u64..1 << 40, 0u64..1 << 40), 1..400),
     ) {
-        for policy in POLICIES {
-            check(policy, capacity, &ops);
-        }
+        check(capacity, &ops);
     }
 }
 
@@ -248,7 +225,5 @@ fn long_sequences_match_the_full_scan_reference() {
             (kind, next() >> 24, next() >> 24)
         })
         .collect();
-    for policy in POLICIES {
-        check(policy, 150, &ops);
-    }
+    check(150, &ops);
 }

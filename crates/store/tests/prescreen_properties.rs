@@ -346,12 +346,6 @@ fn the_screen_is_live_after_every_way_a_store_is_built() {
     let probes: Vec<Vec<f32>> = fresh.iter().step_by(11).cloned().collect();
     live("swap-remove churn", &index, &probes);
 
-    // serde round trip: the shadow is not serialised, it is rebuilt.
-    let json = serde_json::to_string(&index).unwrap();
-    let back: FlatIndex = serde_json::from_str(&json).unwrap();
-    assert_eq!(json, serde_json::to_string(&back).unwrap());
-    live("serde round trip", &back, &probes);
-
     // mapped snapshot restore: the shadow is rebuilt over the mapped rows.
     let entries: Vec<CacheEntry> = rows
         .iter()

@@ -160,11 +160,6 @@ impl Matrix {
         (0..self.rows).map(|r| self.get(r, c)).collect()
     }
 
-    /// Iterate over rows as slices.
-    pub fn row_iter(&self) -> impl Iterator<Item = &[f32]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Matrix {
         let mut t = Matrix::zeros(self.cols, self.rows);
@@ -366,14 +361,6 @@ impl Matrix {
         Vector::from_vec(self.data.clone())
     }
 
-    /// Reconstructs a matrix from a flat row-major vector.
-    ///
-    /// # Errors
-    /// Returns [`TensorError::ShapeMismatch`] when the element count differs.
-    pub fn from_flat(rows: usize, cols: usize, flat: &Vector) -> Result<Matrix> {
-        Matrix::from_vec(rows, cols, flat.as_slice().to_vec())
-    }
-
     /// L2-normalises every row in place (used for batched embedding outputs).
     pub fn normalize_rows(&mut self) {
         let cols = self.cols.max(1);
@@ -495,9 +482,9 @@ mod tests {
     fn flatten_round_trip() {
         let a = sample_a();
         let flat = a.flatten();
-        let back = Matrix::from_flat(2, 3, &flat).unwrap();
+        let back = Matrix::from_vec(2, 3, flat.as_slice().to_vec()).unwrap();
         assert_eq!(a, back);
-        assert!(Matrix::from_flat(4, 4, &flat).is_err());
+        assert!(Matrix::from_vec(4, 4, flat.as_slice().to_vec()).is_err());
     }
 
     #[test]

@@ -218,23 +218,6 @@ pub fn top_k(scores: &[f32], k: usize) -> Vec<(usize, f32)> {
         .collect()
 }
 
-/// Clips every element of `values` to `[-limit, limit]` in place and returns
-/// the number of clipped elements. Gradient clipping keeps the contrastive
-/// training numerically stable on small, noisy client datasets.
-pub fn clip_in_place(values: &mut [f32], limit: f32) -> usize {
-    let mut clipped = 0;
-    for v in values.iter_mut() {
-        if *v > limit {
-            *v = limit;
-            clipped += 1;
-        } else if *v < -limit {
-            *v = -limit;
-            clipped += 1;
-        }
-    }
-    clipped
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -319,13 +302,5 @@ mod tests {
         assert_eq!(top[2].0, 2);
         assert!(top_k(&scores, 100).len() == 5);
         assert!(top_k(&[], 3).is_empty());
-    }
-
-    #[test]
-    fn clip_limits_magnitude() {
-        let mut v = vec![-5.0, 0.5, 5.0];
-        let clipped = clip_in_place(&mut v, 1.0);
-        assert_eq!(clipped, 2);
-        assert_eq!(v, vec![-1.0, 0.5, 1.0]);
     }
 }

@@ -22,18 +22,6 @@ pub fn stored_embedding_bytes(dims: usize) -> usize {
     HEADER_BYTES + f32_embedding_bytes(dims)
 }
 
-/// Fractional storage saving achieved by shrinking `original_dims` to
-/// `compressed_dims` (e.g. 768 → 64 yields ≈ 0.92; the paper reports 83%
-/// end-to-end once entry metadata is included).
-pub fn storage_saving(original_dims: usize, compressed_dims: usize) -> f32 {
-    let orig = stored_embedding_bytes(original_dims) as f32;
-    if orig <= 0.0 {
-        return 0.0;
-    }
-    let comp = stored_embedding_bytes(compressed_dims) as f32;
-    ((orig - comp) / orig).max(0.0)
-}
-
 /// An 8-bit linearly quantised embedding: `value ≈ scale * (code - zero)`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct QuantizedVec {
@@ -330,14 +318,6 @@ mod tests {
         assert_eq!(f32_embedding_bytes(768), 3072);
         assert_eq!(f32_embedding_bytes(4096), 16384);
         assert!(stored_embedding_bytes(768) > f32_embedding_bytes(768));
-    }
-
-    #[test]
-    fn compression_saving_is_large_for_768_to_64() {
-        let saving = storage_saving(768, 64);
-        assert!(saving > 0.8, "saving={saving}");
-        assert!(saving < 1.0);
-        assert_eq!(storage_saving(0, 0), 0.0);
     }
 
     #[test]

@@ -64,11 +64,6 @@ impl UserStudy {
         self.participants.iter().map(|(t, _)| t).sum()
     }
 
-    /// Total duplicate queries across all participants.
-    pub fn total_duplicates(&self) -> u64 {
-        self.participants.iter().map(|(_, d)| d).sum()
-    }
-
     /// Mean of the per-participant duplicate ratios (the paper's "on average,
     /// 31% of queries are similar to previously submitted queries").
     pub fn mean_duplicate_ratio(&self) -> f64 {
@@ -80,16 +75,6 @@ impl UserStudy {
             .map(|(t, d)| if *t == 0 { 0.0 } else { *d as f64 / *t as f64 })
             .sum::<f64>()
             / self.participants.len() as f64
-    }
-
-    /// Pooled duplicate ratio (duplicates / totals).
-    pub fn pooled_duplicate_ratio(&self) -> f64 {
-        let total = self.total_queries();
-        if total == 0 {
-            0.0
-        } else {
-            self.total_duplicates() as f64 / total as f64
-        }
     }
 }
 
@@ -167,7 +152,6 @@ mod tests {
         // "about 31% of user queries were similar to previous ones"
         let mean = study.mean_duplicate_ratio();
         assert!((mean - 0.31).abs() < 0.03, "mean duplicate ratio {mean}");
-        assert!(study.pooled_duplicate_ratio() > 0.25);
         assert_eq!(participant_totals()[0], (1571, 573));
     }
 
@@ -177,7 +161,6 @@ mod tests {
             participants: vec![],
         };
         assert_eq!(study.mean_duplicate_ratio(), 0.0);
-        assert_eq!(study.pooled_duplicate_ratio(), 0.0);
     }
 
     #[test]
